@@ -15,8 +15,8 @@ from .panel import (Interval, IntervalList, Panel, PanelError, PanelReport,
                     intervals_overlap, validate_panel)
 from .pbwt import (PbwtColumns, build_pbwt, build_pbwt_reference, extract_runs,
                    naive_back, naive_fore)
-from .prefixsearch import PrefixSearchIndex, SymbolPositions, build_prefix_index
-from .retrieval import RetrievalIndex, build_retrieval_index, predecessor
+from .prefixsearch import PrefixSearchIndex, SymbolPositions
+from .retrieval import RetrievalIndex
 from .stepindex import BackStepColumn, ForeStepColumn, StepIndex, build_step_index
 from .subruns import (SubRunLists, back_map, build_back_subruns, build_fore_subruns,
                       build_subruns, fore_map, fore_map_by_sorting)
@@ -29,9 +29,9 @@ __all__ = [
     "save_index", "normalize", "overlap_count", "Interval", "IntervalList", "Panel",
     "PanelError", "PanelReport", "intervals_overlap", "validate_panel", "PbwtColumns",
     "build_pbwt", "build_pbwt_reference", "extract_runs", "naive_back", "naive_fore",
-    "PrefixSearchIndex", "SymbolPositions", "build_prefix_index", "RetrievalIndex",
-    "build_retrieval_index", "predecessor", "BackStepColumn", "ForeStepColumn",
-    "StepIndex", "build_step_index", "SubRunLists", "back_map", "build_back_subruns",
-    "build_fore_subruns", "build_subruns", "fore_map", "fore_map_by_sorting",
+    "PrefixSearchIndex", "SymbolPositions", "RetrievalIndex", "BackStepColumn",
+    "ForeStepColumn", "StepIndex", "build_step_index", "SubRunLists", "back_map",
+    "build_back_subruns", "build_fore_subruns", "build_subruns", "fore_map",
+    "fore_map_by_sorting",
     "__version__",
 ]

@@ -2,21 +2,19 @@
 
 Panel files are either a digit matrix (one row per line, single characters,
 alphabet up to 10) or token lines (whitespace-separated integers). An optional
-first line ``#h=<n> w=<n> sigma=<n>`` may declare dimensions; a declared sigma
-overrides inference.
+header line ``#sigma=<n>`` declares the alphabet size, overriding inference.
 
 The index file is little-endian throughout: an eight-byte magic, a version,
 flag bits, a CRC-32 of the payload and the payload length, then the payload
 (dimensions, per-column step tables, prefix-search samples, and the optional
-id permutation). Derived structures (rank/select, sub-run ends, predecessor
-list) are rebuilt on load.
+id permutation). Rank/select over the sub-run symbols is rebuilt on load.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -104,10 +102,19 @@ def format_row(row, fmt: str) -> str:
 class IndexFile:
     step: StepIndex
     prefix: PrefixSearchIndex
-    retrieval: RetrievalIndex
-    sorted_rows: bool
-    fore_only: bool
     panel_format: str              # "digits" or "tokens"
+    retrieval: RetrievalIndex = field(init=False)
+
+    def __post_init__(self):
+        self.retrieval = RetrievalIndex(self.step)
+
+    @property
+    def sorted_rows(self) -> bool:
+        return self.prefix.sorted_rows
+
+    @property
+    def fore_only(self) -> bool:
+        return self.step.back_cols is None
 
     @property
     def h(self) -> int:
@@ -128,13 +135,9 @@ def build_index(p: Panel, sorted_rows: bool = False, fore_only: bool = False,
     pc = build_pbwt(p)
     fore_lists = build_fore_subruns(pc)
     back_lists = [] if fore_only else build_back_subruns(pc)
-    step = build_step_index(pc, SubRunLists(back_lists, fore_lists),
-                            with_back=not fore_only, with_fore=True)
-    prefix = assemble_prefix_index(pc, fore_lists, step, sorted_rows, orig_ids, p.sigma)
-    retrieval = RetrievalIndex(step=step, sigma_public=p.sigma)
-    return IndexFile(step=step, prefix=prefix, retrieval=retrieval,
-                     sorted_rows=sorted_rows, fore_only=fore_only,
-                     panel_format=panel_format)
+    step = build_step_index(pc, SubRunLists(back_lists, fore_lists))
+    prefix = assemble_prefix_index(pc, step, sorted_rows, orig_ids, p.sigma)
+    return IndexFile(step=step, prefix=prefix, panel_format=panel_format)
 
 
 # ------------------------------------------------------------- wire encoding
@@ -223,7 +226,15 @@ def load_index(path: str) -> IndexFile:
     payload = blob[len(MAGIC) + 20:]
     if len(payload) != plen or zlib.crc32(payload) != crc:
         raise IndexFormatError("checksum mismatch (corrupt or truncated file)")
+    try:
+        return _decode_payload(payload, flags)
+    except IndexFormatError:
+        raise
+    except (ValueError, struct.error) as exc:
+        raise IndexFormatError(f"malformed payload: {exc}") from exc
 
+
+def _decode_payload(payload: bytes, flags: int) -> IndexFile:
     rd = _Reader(payload)
     h, w, sigma_public, total_runs = struct.unpack("<QQQQ", rd.take(32))
     col_lens = rd.arr()
@@ -257,18 +268,15 @@ def load_index(path: str) -> IndexFile:
         pa_at_start.append(rd.arr())
         rank_at_start.append(rd.arr())
     orig_ids = rd.arr() if struct.unpack("<B", rd.take(1))[0] else None
+    if rd.off != len(payload):
+        raise IndexFormatError("trailing bytes after the last section")
 
     step = StepIndex(h=int(h), w=int(w), sigma=int(sigma), total_runs=int(total_runs),
                      terminator=terminator, col_lens=col_lens,
                      back_cols=back_cols, fore_cols=fore_cols)
-    from .prefixsearch import SymbolPositions
     prefix = PrefixSearchIndex(step=step, pa_at_start=pa_at_start,
                                rank_at_start=rank_at_start,
-                               rank_select=[SymbolPositions(fc.vals) for fc in fore_cols],
                                sorted_rows=bool(flags & FLAG_SORTED),
                                orig_ids=orig_ids, sigma_public=int(sigma_public))
-    retrieval = RetrievalIndex(step=step, sigma_public=int(sigma_public))
-    return IndexFile(step=step, prefix=prefix, retrieval=retrieval,
-                     sorted_rows=bool(flags & FLAG_SORTED),
-                     fore_only=back_cols is None,
+    return IndexFile(step=step, prefix=prefix,
                      panel_format="tokens" if flags & FLAG_TOKENS else "digits")

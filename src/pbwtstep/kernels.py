@@ -1,42 +1,21 @@
-"""Hot build kernels: numba-jitted loops with a pure-numpy fallback.
-
-The backend is picked once at import time from the environment variable
-``PBWTSTEP_BACKEND`` ("numba" or "numpy"). Default is numba when importable,
-numpy otherwise. Both implementations are kept importable for the benchmark
-in benchmarks/.
+"""Hot build kernels, written as whole-column numpy operations.
 
 All kernels speak the internal convention: symbols are ints in [0, sigma);
 ``lo`` is the smallest steppable symbol (1 when symbol 0 is a terminator that
 drops out of the next column, else 0). Returned positions are 1-based.
 """
 
-import os
-
 import numpy as np
 
-_env = os.environ.get("PBWTSTEP_BACKEND", "").strip().lower()
-if _env not in ("", "numba", "numpy"):
-    raise RuntimeError(f"PBWTSTEP_BACKEND must be 'numba' or 'numpy', got {_env!r}")
-
-HAVE_NUMBA = False
-if _env != "numpy":
-    try:
-        from numba import njit
-        HAVE_NUMBA = True
-    except ImportError:
-        if _env == "numba":
-            raise
+BACKEND = "numpy"  # named in benchmark reports
 
 
-# ---------------------------------------------------------------- numpy path
-
-def _pbwt_matrix_numpy(mat, sigma):
+def pbwt_matrix(mat, sigma):
     """Column-wise stable bucket pass over a fixed-length panel.
 
     mat: (h, w) int64 matrix of symbols. Returns (pbwt, pa), both (h, w)
     int64; pa holds 1-based row ids. The stable argsort on an integer
-    column is numpy's radix sort, i.e. the same bucket pass the jitted
-    kernel spells out.
+    column is numpy's radix sort, i.e. one counting-sort bucket pass.
     """
     h, w = mat.shape
     pbwt = np.empty((h, w), np.int64)
@@ -51,27 +30,22 @@ def _pbwt_matrix_numpy(mat, sigma):
     return pbwt, pa
 
 
-def _fore_column_numpy(sym, sigma, lo):
+def fore_column(sym, sigma, lo):
     """1-based forward-step targets for one column; 0 where undefined.
 
     fore[i] = (#symbols in [lo, c)) + (#occurrences of c at or before i),
     with c = sym[i]; positions with sym[i] < lo have no target.
     """
-    n = sym.size
     cnt = np.bincount(sym, minlength=sigma)
     base = np.zeros(sigma, np.int64)
     base[lo:] = np.cumsum(cnt[lo:]) - cnt[lo:]
-    order = np.argsort(sym, kind="stable")
-    grp = np.repeat(np.cumsum(cnt) - cnt, cnt)
-    occ = np.empty(n, np.int64)
-    occ[order] = np.arange(n, dtype=np.int64) - grp
-    out = base[sym] + occ + 1
+    out = base[sym] + occ_column(sym, sigma)
     if lo > 0:
         out[sym < lo] = 0
     return out
 
 
-def _occ_column_numpy(sym, sigma):
+def occ_column(sym, sigma):
     """occ[i] = number of occurrences of sym[i] in sym[:i+1] (1-based count)."""
     n = sym.size
     cnt = np.bincount(sym, minlength=sigma)
@@ -82,118 +56,8 @@ def _occ_column_numpy(sym, sigma):
     return occ + 1
 
 
-def _run_starts_numpy(sym):
+def run_starts(sym):
     """0-based indices where maximal equal-symbol runs begin."""
     if sym.size == 0:
         return np.empty(0, np.int64)
     return np.concatenate(([0], np.flatnonzero(np.diff(sym) != 0) + 1)).astype(np.int64)
-
-
-# ---------------------------------------------------------------- numba path
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _pbwt_matrix_numba(mat, sigma):
-        h, w = mat.shape
-        pbwt = np.empty((h, w), np.int64)
-        pa = np.empty((h, w), np.int64)
-        order = np.arange(1, h + 1).astype(np.int64)
-        nxt = np.empty(h, np.int64)
-        cnt = np.empty(sigma, np.int64)
-        for j in range(w):
-            cnt[:] = 0
-            for i in range(h):
-                c = mat[order[i] - 1, j]
-                pa[i, j] = order[i]
-                pbwt[i, j] = c
-                cnt[c] += 1
-            if j + 1 < w:
-                pos = np.empty(sigma, np.int64)
-                acc = 0
-                for c in range(sigma):
-                    pos[c] = acc
-                    acc += cnt[c]
-                for i in range(h):
-                    c = pbwt[i, j]
-                    nxt[pos[c]] = order[i]
-                    pos[c] += 1
-                order, nxt = nxt, order
-        return pbwt, pa
-
-    @njit(cache=True)
-    def _fore_column_numba(sym, sigma, lo):
-        n = sym.size
-        cnt = np.zeros(sigma, np.int64)
-        for i in range(n):
-            cnt[sym[i]] += 1
-        base = np.zeros(sigma, np.int64)
-        acc = 0
-        for c in range(lo, sigma):
-            base[c] = acc
-            acc += cnt[c]
-        out = np.zeros(n, np.int64)
-        run = np.zeros(sigma, np.int64)
-        for i in range(n):
-            c = sym[i]
-            if c >= lo:
-                run[c] += 1
-                out[i] = base[c] + run[c]
-        return out
-
-    @njit(cache=True)
-    def _occ_column_numba(sym, sigma):
-        n = sym.size
-        out = np.empty(n, np.int64)
-        run = np.zeros(sigma, np.int64)
-        for i in range(n):
-            c = sym[i]
-            run[c] += 1
-            out[i] = run[c]
-        return out
-
-    @njit(cache=True)
-    def _run_starts_numba(sym):
-        n = sym.size
-        if n == 0:
-            return np.empty(0, np.int64)
-        nruns = 1
-        for i in range(1, n):
-            if sym[i] != sym[i - 1]:
-                nruns += 1
-        out = np.empty(nruns, np.int64)
-        out[0] = 0
-        k = 1
-        for i in range(1, n):
-            if sym[i] != sym[i - 1]:
-                out[k] = i
-                k += 1
-        return out
-
-
-NUMPY_IMPLS = {
-    "pbwt_matrix": _pbwt_matrix_numpy,
-    "fore_column": _fore_column_numpy,
-    "occ_column": _occ_column_numpy,
-    "run_starts": _run_starts_numpy,
-}
-
-if HAVE_NUMBA:
-    BACKEND = "numba"
-    NUMBA_IMPLS = {
-        "pbwt_matrix": _pbwt_matrix_numba,
-        "fore_column": _fore_column_numba,
-        "occ_column": _occ_column_numba,
-        "run_starts": _run_starts_numba,
-    }
-    pbwt_matrix = _pbwt_matrix_numba
-    fore_column = _fore_column_numba
-    occ_column = _occ_column_numba
-    run_starts = _run_starts_numba
-else:
-    BACKEND = "numpy"
-    NUMBA_IMPLS = None
-    pbwt_matrix = _pbwt_matrix_numpy
-    fore_column = _fore_column_numpy
-    occ_column = _occ_column_numpy
-    run_starts = _run_starts_numpy

@@ -12,15 +12,13 @@ many rows carry it, and the smallest such row id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
-from .panel import Panel, validate_panel
-from .pbwt import build_pbwt
-from .stepindex import StepIndex, build_step_index
-from .subruns import SubRunLists, build_fore_subruns
+from .panel import Panel
+from .stepindex import StepIndex
 
 
 class SymbolPositions:
@@ -28,16 +26,14 @@ class SymbolPositions:
 
     def __init__(self, vals: np.ndarray):
         self.n = int(vals.size)
+        # a stable sort leaves each symbol's positions in ascending order;
+        # slicing beats np.split on the many columns with few sub-runs
         order = np.argsort(vals, kind="stable")
-        self.pos: dict[int, np.ndarray] = {}
-        start = 0
-        while start < self.n:
-            c = int(vals[order[start]])
-            end = start
-            while end < self.n and int(vals[order[end]]) == c:
-                end += 1
-            self.pos[c] = np.sort(order[start:end]) + 1
-            start = end
+        srt = vals[order]
+        bounds = [0, *(np.flatnonzero(srt[1:] != srt[:-1]) + 1).tolist(), self.n]
+        pos1 = order + 1
+        self.pos: dict[int, np.ndarray] = {
+            int(srt[a]): pos1[a:b] for a, b in zip(bounds, bounds[1:]) if a < b}
 
     def rank(self, c: int, x: int) -> int:
         """Occurrences of c among positions 1..x."""
@@ -66,10 +62,13 @@ class PrefixSearchIndex:
     step: StepIndex                    # forward side populated
     pa_at_start: list[np.ndarray]      # per column: PA entry at each sub-run start
     rank_at_start: list[np.ndarray]    # per column: own-symbol rank at sub-run start
-    rank_select: list[SymbolPositions]
     sorted_rows: bool
     orig_ids: np.ndarray | None        # sorted position -> original row id
     sigma_public: int
+    rank_select: list[SymbolPositions] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.rank_select = [SymbolPositions(fc.vals) for fc in self.step.fore_cols]
 
     @property
     def h(self) -> int:
@@ -96,16 +95,13 @@ class PrefixSearchIndex:
 
     # -- queries --------------------------------------------------------------
 
-    def partial_prefix_search(self, pattern, _shadow_pa=None) -> tuple[int, int, int]:
+    def partial_prefix_search(self, pattern) -> tuple[int, int, int]:
         """Longest shared prefix length, its row count, and a witness row id.
 
         The witness is the smallest id among matching rows (of the sorted
         panel when built with sorted_rows). An empty longest prefix reports
         (0, h, 1). Patterns use the public alphabet; symbols outside it never
         match, and the ragged-mode terminator is not addressable at all.
-        ``_shadow_pa`` is a test hook: when given the per-column prefix
-        arrays, the loop invariant "witness is the PA entry at the interval's
-        left end" is asserted each iteration.
         """
         pat = [int(c) for c in pattern]
         if any(c < 0 for c in pat):
@@ -120,8 +116,6 @@ class PrefixSearchIndex:
         j = 1
         full = False
         while j <= m_eff:
-            if _shadow_pa is not None:
-                assert witness == int(_shadow_pa[j - 1][b - 1])
             c = pat[j - 1]
             if c >= st.sigma:
                 break
@@ -146,8 +140,6 @@ class PrefixSearchIndex:
                 et = st.fore_subrun_end(j, xtp)
             if moved:
                 witness = int(self.pa_at_start[j - 1][xt - 1])
-            if _shadow_pa is not None:
-                assert witness == int(_shadow_pa[j - 1][bt - 1])
             if j < m_eff:
                 b, x = st.fore_step(bt, j, xt)
                 e, xp = st.fore_step(et, j, xtp)
@@ -181,27 +173,19 @@ class PrefixSearchIndex:
         return m_prime, [int(self.orig_ids[t - 1]) for t in range(lo, hi + 1)]
 
 
-def prefix_arrays_from(pc, fore_lists) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per-column PA and own-symbol-rank samples at sub-run starts."""
-    pa_at_start, rank_at_start = [], []
-    for j in range(1, pc.w + 1):
-        starts = fore_lists[j - 1].starts()
-        occ = kernels.occ_column(pc.cols[j - 1], pc.sigma)
-        pa_at_start.append(pc.pas[j - 1][starts - 1].astype(np.int64))
-        rank_at_start.append(occ[starts - 1].astype(np.int64))
-    return pa_at_start, rank_at_start
-
-
-def assemble_prefix_index(pc, fore_lists, step: StepIndex, sorted_rows: bool,
+def assemble_prefix_index(pc, step: StepIndex, sorted_rows: bool,
                           orig_ids: np.ndarray | None,
                           sigma_public: int) -> PrefixSearchIndex:
-    """Wire a PrefixSearchIndex from already-built pieces (shared with I/O)."""
-    pa_at_start, rank_at_start = prefix_arrays_from(pc, fore_lists)
-    rank_select = [SymbolPositions(fc.vals) for fc in step.fore_cols]
+    """Sample the prefix array and each symbol's running count at every
+    forward sub-run start of ``step``."""
+    pa_at_start, rank_at_start = [], []
+    for j, fc in enumerate(step.fore_cols, 1):
+        at = fc.starts - 1
+        pa_at_start.append(pc.pas[j - 1][at].astype(np.int64))
+        rank_at_start.append(kernels.occ_column(pc.cols[j - 1], pc.sigma)[at])
     return PrefixSearchIndex(step=step, pa_at_start=pa_at_start,
-                             rank_at_start=rank_at_start, rank_select=rank_select,
-                             sorted_rows=sorted_rows, orig_ids=orig_ids,
-                             sigma_public=sigma_public)
+                             rank_at_start=rank_at_start, sorted_rows=sorted_rows,
+                             orig_ids=orig_ids, sigma_public=sigma_public)
 
 
 def sort_panel(p: Panel) -> tuple[Panel, np.ndarray]:
@@ -210,16 +194,3 @@ def sort_panel(p: Panel) -> tuple[Panel, np.ndarray]:
     return Panel(rows=[p.rows[i - 1] for i in orig_ids], sigma=p.sigma,
                  ragged=p.ragged), orig_ids
 
-
-def build_prefix_index(p: Panel, sorted_rows: bool = False) -> PrefixSearchIndex:
-    """Build the query index; with ``sorted_rows`` the panel is sorted
-    lexicographically first and the id permutation kept for enumeration."""
-    validate_panel(p)
-    orig_ids = None
-    if sorted_rows:
-        p, orig_ids = sort_panel(p)
-    pc = build_pbwt(p)
-    fore_lists = build_fore_subruns(pc)
-    step = build_step_index(pc, SubRunLists([], fore_lists),
-                            with_back=False, with_fore=True)
-    return assemble_prefix_index(pc, fore_lists, step, sorted_rows, orig_ids, p.sigma)

@@ -8,36 +8,14 @@ column reproduce the row. The panel itself is never stored.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 
-import numpy as np
-
-from .panel import Panel, validate_panel
-from .pbwt import build_pbwt
-from .stepindex import StepIndex, build_step_index
-from .subruns import SubRunLists, build_fore_subruns
-
-
-def predecessor(values, q: int) -> tuple[int, int]:
-    """Largest element <= q and its rightmost 1-based position.
-
-    ``values`` is ascending (duplicates allowed). Raises when q is below the
-    minimum.
-    """
-    seq = values.tolist() if isinstance(values, np.ndarray) else list(values)
-    if not seq:
-        raise ValueError("empty list")
-    k = bisect_right(seq, q)
-    if k == 0:
-        raise ValueError(f"no element <= {q}")
-    return int(seq[k - 1]), k
+from .stepindex import StepIndex
 
 
 @dataclass
 class RetrievalIndex:
-    step: StepIndex                 # forward side populated
-    sigma_public: int
+    step: StepIndex
 
     @property
     def h(self) -> int:
@@ -47,10 +25,6 @@ class RetrievalIndex:
     def w(self) -> int:
         return self.step.w
 
-    @property
-    def col1_starts(self) -> np.ndarray:
-        return self.step.fore_cols[0].starts
-
     def extract(self, i: int) -> list[int]:
         """Reconstruct row i; in terminator mode the output stops before the
         terminator, so ragged rows come back at their true lengths."""
@@ -58,7 +32,7 @@ class RetrievalIndex:
             raise ValueError(f"row {i} out of range [1..{self.h}]")
         st = self.step
         shift = 1 if st.terminator is not None else 0
-        _, x = predecessor(self.col1_starts, i)
+        x = st.find_fore_subrun(1, i)
         cur = i
         out: list[int] = []
         for j in range(1, st.w + 1):
@@ -69,12 +43,3 @@ class RetrievalIndex:
             if j < st.w:
                 cur, x = st.fore_step(cur, j, x)
         return out
-
-
-def build_retrieval_index(p: Panel) -> RetrievalIndex:
-    validate_panel(p)
-    pc = build_pbwt(p)
-    fore_lists = build_fore_subruns(pc)
-    step = build_step_index(pc, SubRunLists([], fore_lists),
-                            with_back=False, with_fore=True)
-    return RetrievalIndex(step=step, sigma_public=p.sigma)

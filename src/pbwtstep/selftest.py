@@ -4,7 +4,8 @@ Each generated panel is built twice (counting pass vs comparison sort), its
 bounds are checked, all stepping chains are compared against prefix-array
 position lookups, prefix searches against a row scan, and extraction against
 the stored rows; a sample of panels additionally round-trips through the
-index file. Deterministic for a fixed seed.
+index file. Deterministic for a fixed seed. The checks raise
+``SelftestFailure`` explicitly, so they still run under ``python -O``.
 """
 
 from __future__ import annotations
@@ -18,10 +19,17 @@ from .bounds import check_bounds
 from .io import build_index, load_index, save_index
 from .panel import Panel
 from .pbwt import build_pbwt, build_pbwt_reference, naive_back, naive_fore
-from .prefixsearch import build_prefix_index
-from .retrieval import build_retrieval_index
 from .stepindex import build_step_index
 from .subruns import build_subruns
+
+
+class SelftestFailure(Exception):
+    """A query path disagreed with its brute-force oracle."""
+
+
+def _check(cond, msg: str) -> None:
+    if not cond:
+        raise SelftestFailure(msg)
 
 
 def random_panel(rng: np.random.Generator, h_max: int = 16, w_max: int = 12,
@@ -90,15 +98,15 @@ def _check_panel(rng: np.random.Generator, p: Panel, do_io: bool) -> int:
     pc = build_pbwt(p)
     ref = build_pbwt_reference(p)
     for j in range(1, pc.w + 1):
-        assert np.array_equal(pc.pbwt_col(j), ref.pbwt_col(j)), "builder mismatch (pbwt)"
-        assert np.array_equal(pc.pa_col(j), ref.pa_col(j)), "builder mismatch (pa)"
+        _check(np.array_equal(pc.pbwt_col(j), ref.pbwt_col(j)), "builder mismatch (pbwt)")
+        _check(np.array_equal(pc.pa_col(j), ref.pa_col(j)), "builder mismatch (pa)")
         checks += 1
     if not p.ragged:
-        assert check_bounds(p, pc).passed, "bounds check failed"
+        _check(check_bounds(p, pc).passed, "bounds check failed")
         checks += 1
     sr = build_subruns(pc)
-    assert sr.total_back() < 2 * pc.total_runs, "back sub-run bound violated"
-    assert sr.total_fore() < 2 * pc.total_runs, "fore sub-run bound violated"
+    _check(sr.total_back() < 2 * pc.total_runs, "back sub-run bound violated")
+    _check(sr.total_fore() < 2 * pc.total_runs, "fore sub-run bound violated")
     checks += 2
     step = build_step_index(pc, sr)
     for i0 in range(1, pc.h + 1):
@@ -106,45 +114,47 @@ def _check_panel(rng: np.random.Generator, p: Panel, do_io: bool) -> int:
         for j in range(1, pc.w):
             if pc.terminator is not None and step.symbol_at_fore(j, x) == pc.terminator:
                 break
-            assert step.symbol_at_fore(j, x) == int(pc.pbwt_col(j)[i - 1])
+            _check(step.symbol_at_fore(j, x) == int(pc.pbwt_col(j)[i - 1]),
+                   "symbol_at_fore mismatch")
             i2, x2 = step.fore_step(i, j, x)
-            assert i2 == naive_fore(pc, i, j), "fore_step mismatch"
-            assert step.fore_cols[j].starts[x2 - 1] <= i2 <= step.fore_subrun_end(j + 1, x2)
+            _check(i2 == naive_fore(pc, i, j), "fore_step mismatch")
+            _check(step.fore_cols[j].starts[x2 - 1] <= i2 <= step.fore_subrun_end(j + 1, x2),
+                   "fore_step left its sub-run")
             i, x = i2, x2
         checks += 1
     for i0 in range(1, pc.col_len(pc.w) + 1):
         i, x = i0, step.find_back_subrun(pc.w, i0)
         for j in range(pc.w, 1, -1):
-            assert step.symbol_at_back(j, x) == int(pc.pbwt_col(j)[i - 1])
+            _check(step.symbol_at_back(j, x) == int(pc.pbwt_col(j)[i - 1]),
+                   "symbol_at_back mismatch")
             i2, x2 = step.back_step(i, j, x)
-            assert i2 == naive_back(pc, i, j), "back_step mismatch"
+            _check(i2 == naive_back(pc, i, j), "back_step mismatch")
             i, x = i2, x2
         checks += 1
-    ix = build_prefix_index(p)
-    ixs = build_prefix_index(p, sorted_rows=True)
+    ix = build_index(p)
+    ixs = build_index(p, sorted_rows=True, fore_only=True).prefix
     for pat in random_patterns(rng, p):
-        got = ix.partial_prefix_search(pat)
+        got = ix.prefix.partial_prefix_search(pat)
         want = scan_prefix_oracle(p, pat)
-        assert got == want, f"prefix mismatch: {got} != {want} for {pat}"
+        _check(got == want, f"prefix mismatch: {got} != {want} for {pat}")
         m1, ids = ixs.enumerate_prefixed(pat)
-        assert m1 == want[0] and len(ids) == want[1], "enumeration mismatch"
+        _check(m1 == want[0] and len(ids) == want[1], "enumeration mismatch")
         checks += 2
-    ret = build_retrieval_index(p)
     for i in range(1, p.h + 1):
-        assert ret.extract(i) == [int(s) for s in p.rows[i - 1]], "extract mismatch"
+        _check(ix.retrieval.extract(i) == [int(s) for s in p.rows[i - 1]], "extract mismatch")
         checks += 1
     if do_io:
         fd, path = tempfile.mkstemp(suffix=".pbwtstep")
         os.close(fd)
         try:
-            save_index(path, build_index(p))
+            save_index(path, ix)
             loaded = load_index(path)
             for pat in random_patterns(rng, p, count=3):
-                assert loaded.prefix.partial_prefix_search(pat) == \
-                    ix.partial_prefix_search(pat), "round-trip prefix mismatch"
+                _check(loaded.prefix.partial_prefix_search(pat) ==
+                       ix.prefix.partial_prefix_search(pat), "round-trip prefix mismatch")
             for i in range(1, p.h + 1):
-                assert loaded.retrieval.extract(i) == ret.extract(i), \
-                    "round-trip extract mismatch"
+                _check(loaded.retrieval.extract(i) == ix.retrieval.extract(i),
+                       "round-trip extract mismatch")
             checks += 1
         finally:
             os.unlink(path)
@@ -161,6 +171,6 @@ def run_selftest(seed: int = 0, panels: int = 50, log=None) -> tuple[bool, str]:
             total += _check_panel(rng, p, do_io=(k % 10 == 9))
             if log is not None and (k + 1) % 10 == 0:
                 log(f"selftest: {k + 1}/{panels} panels ok")
-    except AssertionError as exc:
+    except (SelftestFailure, AssertionError) as exc:
         return False, f"selftest FAILED after {total} checks: {exc}"
     return True, f"selftest passed: panels={panels} seed={seed} checks={total}"

@@ -49,7 +49,7 @@ class StepIndex:
     terminator: int | None
     col_lens: np.ndarray            # per-column height (h everywhere when fixed)
     back_cols: list[BackStepColumn] | None
-    fore_cols: list[ForeStepColumn] | None
+    fore_cols: list[ForeStepColumn]
 
     # -- locate helpers (queries proper take the sub-run index as input) ----
 
@@ -114,11 +114,10 @@ class StepIndex:
                 total += 2 * bc.starts.size
                 if bc.nquads is not None:
                     total += 4 * int(bc.nquads.sum())
-        if self.fore_cols is not None:
-            for fc in self.fore_cols:
-                total += 2 * fc.starts.size
-                if fc.nquints is not None:
-                    total += 5 * int(fc.nquints.sum())
+        for fc in self.fore_cols:
+            total += 2 * fc.starts.size
+            if fc.nquints is not None:
+                total += 5 * int(fc.nquints.sum())
         return total
 
 
@@ -144,18 +143,18 @@ def _overlap_walk(covers, targets):
         yield pos, hits
 
 
-def build_step_index(pc: PbwtColumns, sr: SubRunLists,
-                     with_back: bool = True, with_fore: bool = True) -> StepIndex:
+def build_step_index(pc: PbwtColumns, sr: SubRunLists) -> StepIndex:
     """Populate the tuple tables from built sub-run lists.
 
-    The sub-run lists themselves are not needed afterwards; their boundaries
-    survive as the per-column ``starts`` arrays.
+    Backward tables are built only when ``sr.back_lists`` is non-empty;
+    forward tables always are. The sub-run lists themselves are not needed
+    afterwards; their boundaries survive as the per-column ``starts`` arrays.
     """
     w = pc.w
     col_lens = np.array([pc.col_len(j) for j in range(1, w + 1)], np.int64)
 
     back_cols = None
-    if with_back:
+    if sr.back_lists:
         back_cols = []
         for j in range(1, w + 1):
             lst = sr.back_lists[j - 1]
@@ -179,31 +178,29 @@ def build_step_index(pc: PbwtColumns, sr: SubRunLists,
                     nquads[pos - 1] += 1
             back_cols.append(BackStepColumn(starts, vals, quads, nquads))
 
-    fore_cols = None
-    if with_fore:
-        fore_cols = []
-        for j in range(1, w + 1):
-            lst = sr.fore_lists[j - 1]
-            starts = lst.starts()
-            vals = pc.cols[j - 1][starts - 1]
-            if j == w:
-                fore_cols.append(ForeStepColumn(starts, vals, None, None))
-                continue
-            nxt = sr.fore_lists[j]
-            live, live_idx = live_subruns(pc, j, lst)
-            image = fore_map(pc, j, live)
-            quints = np.zeros((len(lst), TUPLE_CAP, 5), np.int64)
-            nquints = np.zeros(len(lst), np.uint8)
-            for pos, hits in _overlap_walk(image.items, nxt):
-                tau = live_idx[image.sources[pos - 1] - 1]
-                start = lst[tau - 1].b
-                img_b = image[pos - 1].b
-                for iv, lam in hits:
-                    slot = nquints[tau - 1]
-                    assert slot < TUPLE_CAP, "three-overlap constraint violated"
-                    quints[tau - 1, slot] = (start, img_b, iv.b, iv.e, lam)
-                    nquints[tau - 1] += 1
-            fore_cols.append(ForeStepColumn(starts, vals, quints, nquints))
+    fore_cols = []
+    for j in range(1, w + 1):
+        lst = sr.fore_lists[j - 1]
+        starts = lst.starts()
+        vals = pc.cols[j - 1][starts - 1]
+        if j == w:
+            fore_cols.append(ForeStepColumn(starts, vals, None, None))
+            continue
+        nxt = sr.fore_lists[j]
+        live, live_idx = live_subruns(pc, j, lst)
+        image = fore_map(pc, j, live)
+        quints = np.zeros((len(lst), TUPLE_CAP, 5), np.int64)
+        nquints = np.zeros(len(lst), np.uint8)
+        for pos, hits in _overlap_walk(image.items, nxt):
+            tau = live_idx[image.sources[pos - 1] - 1]
+            start = lst[tau - 1].b
+            img_b = image[pos - 1].b
+            for iv, lam in hits:
+                slot = nquints[tau - 1]
+                assert slot < TUPLE_CAP, "three-overlap constraint violated"
+                quints[tau - 1, slot] = (start, img_b, iv.b, iv.e, lam)
+                nquints[tau - 1] += 1
+        fore_cols.append(ForeStepColumn(starts, vals, quints, nquints))
 
     return StepIndex(h=pc.h, w=w, sigma=pc.sigma, total_runs=pc.total_runs,
                      terminator=pc.terminator, col_lens=col_lens,

@@ -8,6 +8,7 @@ scan, normalization against an O(n^2) splitter.
 import numpy as np
 import pytest
 
+from pbwtstep.io import build_index
 from pbwtstep.panel import Interval, IntervalList, Panel
 
 
@@ -40,6 +41,16 @@ def rand_panel(rng, h_max=16, w_max=12, sigma_max=4, ragged=False):
     if ragged:
         row_list = [r[:int(rng.integers(0, w + 1))] for r in row_list]
     return Panel.from_rows(row_list, sigma=sigma, ragged=ragged)
+
+
+def prefix_index(p: Panel, sorted_rows=False):
+    """The prefix-search part of a forward-only index."""
+    return build_index(p, sorted_rows=sorted_rows, fore_only=True).prefix
+
+
+def retrieval_index(p: Panel):
+    """The retrieval part of a forward-only index."""
+    return build_index(p, fore_only=True).retrieval
 
 
 # ------------------------------------------------------------------- oracles

@@ -14,13 +14,11 @@ from pbwtstep.io import build_index, load_index, save_index
 from pbwtstep.normalize import normalize
 from pbwtstep.panel import Panel
 from pbwtstep.pbwt import build_pbwt, build_pbwt_reference
-from pbwtstep.prefixsearch import build_prefix_index
-from pbwtstep.retrieval import build_retrieval_index
 from pbwtstep.stepindex import build_step_index
 from pbwtstep.subruns import build_subruns
 
-from conftest import (pattern_battery, pos_lookup_back, pos_lookup_fore,
-                      rand_panel, rand_partition, scan_prefix)
+from conftest import (pattern_battery, pos_lookup_back, pos_lookup_fore, prefix_index,
+                      rand_panel, rand_partition, retrieval_index, scan_prefix)
 import test_golden_fixtures as golden
 
 
@@ -136,12 +134,12 @@ def test_c06_prefix_search_oracle(corpus):
     t0 = time.perf_counter()
     queries = 0
     for p, pc, sr, st in corpus[:500]:
-        ix = build_prefix_index(p)
+        ix = prefix_index(p)
         for pat in pattern_battery(rng, p, count=8):
             assert ix.partial_prefix_search(pat) == scan_prefix(p, pat)
             queries += 1
     # frozen edge case: second pattern symbol occurs only outside the interval
-    ix = build_prefix_index(Panel.from_strings(["01", "10", "11"]))
+    ix = prefix_index(Panel.from_strings(["01", "10", "11"]))
     assert ix.partial_prefix_search([0, 0]) == (1, 1, 1)
     elapsed = time.perf_counter() - t0
     assert elapsed < 60.0, f"prefix suite took {elapsed:.2f}s"
@@ -151,7 +149,7 @@ def test_c06_prefix_search_oracle(corpus):
 def test_c07_sorted_variant_and_enumeration(corpus):
     rng = np.random.default_rng(7)
     for p, pc, sr, st in corpus[:500]:
-        ix = build_prefix_index(p, sorted_rows=True)
+        ix = prefix_index(p, sorted_rows=True)
         rows = [tuple(int(s) for s in r) for r in p.rows]
         for pat in pattern_battery(rng, p, count=4):
             m, occ, _ = scan_prefix(p, pat)
@@ -167,7 +165,7 @@ def test_c07_sorted_variant_and_enumeration(corpus):
 def test_c08_retrieval(corpus):
     from test_retrieval import _CountingStep
     for p, pc, sr, st in corpus:
-        ret = build_retrieval_index(p)
+        ret = retrieval_index(p)
         counter = _CountingStep(ret.step)
         ret.step = counter
         for i in range(1, p.h + 1):
@@ -189,10 +187,10 @@ def test_c09_ragged_mode():
         no_term = sum(1 for j in range(1, pc.w + 1) for iv in pc.runs_at(j)
                       if int(pc.pbwt_col(j)[iv.b - 1]) != 0)
         assert pc.total_runs <= no_term + p.h
-        ix = build_prefix_index(p)
+        ix = prefix_index(p)
         for pat in pattern_battery(rng, p, count=5):
             assert ix.partial_prefix_search(pat) == scan_prefix(p, pat)
-        ret = build_retrieval_index(p)
+        ret = retrieval_index(p)
         for i in range(1, p.h + 1):
             assert ret.extract(i) == [int(s) for s in p.rows[i - 1]]
     _report(9, "ragged mode (200 panels)")

@@ -85,7 +85,7 @@ def test_back_map_example():
 def test_fore_quintuples_and_step():
     pc = build_pbwt(PANEL_B)
     sr = SubRunLists(back_lists=[], fore_lists=build_fore_subruns(pc))
-    st = build_step_index(pc, sr, with_back=False)
+    st = build_step_index(pc, sr)
     fc = st.fore_cols[0]
     assert int(fc.nquints[3]) == 3
     assert [tuple(q) for q in fc.quints[3][:3]] == [(11, 6, 6, 7, 4),

@@ -1,11 +1,15 @@
+import os
 import struct
+import subprocess
+import sys
+import zlib
 
 import pytest
 
 from pbwtstep.cli import main
 from pbwtstep.io import (IndexFormatError, MAGIC, build_index, load_index,
                          load_panel, parse_panel_text, parse_pattern, save_index)
-from pbwtstep.panel import PanelError
+from pbwtstep.panel import Panel, PanelError
 
 from conftest import pattern_battery, rand_panel
 
@@ -119,6 +123,36 @@ def test_version_mismatch_rejected(rng, tmp_path):
         load_index(str(path))
 
 
+def test_malformed_crc_valid_payload_rejected(tmp_path, capsys):
+    # one more column-1 start than written: every later array is misread,
+    # but the checksum is recomputed, so only decoding can catch it
+    path = tmp_path / "ix.bin"
+    save_index(str(path), build_index(Panel.from_strings(["0110", "1011", "0001", "1100"])))
+    blob = bytearray(path.read_bytes())
+    head = len(MAGIC) + 20
+    at = head + 32 + 8 + 8 * 4            # dims, then col_lens (count + 4 values)
+    count = struct.unpack_from("<Q", blob, at)[0]
+    struct.pack_into("<Q", blob, at, count + 1)
+    struct.pack_into("<I", blob, len(MAGIC) + 8, zlib.crc32(bytes(blob[head:])))
+    path.write_bytes(bytes(blob))
+    with pytest.raises(IndexFormatError):
+        load_index(str(path))
+    assert main(["extract", str(path), "1"]) == 2
+    assert "index error" in capsys.readouterr().err
+
+
+def test_trailing_bytes_rejected(rng, tmp_path):
+    path = tmp_path / "ix.bin"
+    save_index(str(path), build_index(rand_panel(rng)))
+    blob = bytearray(path.read_bytes() + b"\0" * 8)
+    head = len(MAGIC) + 20
+    struct.pack_into("<IQ", blob, len(MAGIC) + 8, zlib.crc32(bytes(blob[head:])),
+                     len(blob) - head)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(IndexFormatError, match="trailing"):
+        load_index(str(path))
+
+
 def test_fore_only_halves_file(rng, tmp_path):
     p = rand_panel(rng, h_max=24, w_max=20)
     full, half = tmp_path / "full.bin", tmp_path / "half.bin"
@@ -220,3 +254,30 @@ def test_cli_selftest(capsys):
     assert main(["selftest", "--seed", "1", "--panels", "6"]) == 0
     out = capsys.readouterr().out
     assert "selftest passed" in out
+
+
+def test_selftest_fails_under_optimize():
+    # -O strips assert statements; the selftest's checks must still run
+    import pbwtstep
+
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(pbwtstep.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p))
+    code = """
+from pbwtstep.retrieval import RetrievalIndex
+from pbwtstep.selftest import run_selftest
+if __debug__:
+    raise SystemExit("not running under -O")
+print(run_selftest(panels=3)[0])
+RetrievalIndex.extract = lambda self, i: [-1]
+ok, summary = run_selftest(panels=10)
+print(ok)
+print(summary)
+"""
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0] == "True"                   # control: unpatched selftest passes
+    assert lines[1] == "False"
+    assert "extract mismatch" in lines[2]

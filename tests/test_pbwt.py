@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from pbwtstep import kernels
 from pbwtstep.panel import IntervalList, Panel
 from pbwtstep.pbwt import (build_pbwt, build_pbwt_reference, extract_runs,
                            naive_back, naive_fore)
@@ -137,26 +136,6 @@ def test_ragged_fore_undefined_on_terminator():
         naive_fore(pc, term_pos, 2)
 
 
-def test_backend_impls_agree(rng):
-    if kernels.NUMBA_IMPLS is None:
-        pytest.skip("numba backend unavailable")
-    for _ in range(25):
-        h, w = int(rng.integers(1, 20)), int(rng.integers(1, 15))
-        sigma = int(rng.integers(1, 5))
-        mat = rng.integers(0, sigma, size=(h, w)).astype(np.int64)
-        pb_n, pa_n = kernels.NUMPY_IMPLS["pbwt_matrix"](mat, sigma)
-        pb_j, pa_j = kernels.NUMBA_IMPLS["pbwt_matrix"](mat, sigma)
-        assert np.array_equal(pb_n, pb_j) and np.array_equal(pa_n, pa_j)
-        col = mat[:, 0]
-        for lo in (0, 1):
-            assert np.array_equal(kernels.NUMPY_IMPLS["fore_column"](col, sigma + 1, lo),
-                                  kernels.NUMBA_IMPLS["fore_column"](col, sigma + 1, lo))
-        assert np.array_equal(kernels.NUMPY_IMPLS["occ_column"](col, sigma),
-                              kernels.NUMBA_IMPLS["occ_column"](col, sigma))
-        assert np.array_equal(kernels.NUMPY_IMPLS["run_starts"](col),
-                              kernels.NUMBA_IMPLS["run_starts"](col))
-
-
 def test_fore_tables_match_naive(rng):
     for _ in range(30):
         p = rand_panel(rng)
@@ -171,29 +150,3 @@ def test_fore_tables_match_naive(rng):
             for i in range(1, pc.h + 1):
                 assert naive_back(pc, i, j) == int(back_tables[j - 1][i - 1])
 
-
-def test_backend_flag_validated():
-    import os
-    import subprocess
-    import sys
-
-    import pbwtstep
-
-    # The child must import the same pbwtstep this process tests, whether
-    # it is installed or found through PYTHONPATH, from any working directory.
-    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(pbwtstep.__file__)))
-    pythonpath = os.pathsep.join(
-        p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p)
-
-    def import_kernels(backend):
-        env = dict(os.environ, PYTHONPATH=pythonpath, PBWTSTEP_BACKEND=backend)
-        return subprocess.run([sys.executable, "-c", "import pbwtstep.kernels"],
-                              env=env, capture_output=True, text=True)
-
-    # Positive control: the child can import the package at all.
-    ok = import_kernels("numpy")
-    assert ok.returncode == 0, ok.stderr
-
-    proc = import_kernels("bogus")
-    assert proc.returncode != 0
-    assert "PBWTSTEP_BACKEND" in proc.stderr

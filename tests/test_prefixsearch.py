@@ -3,41 +3,41 @@ import pytest
 
 from pbwtstep.panel import Panel
 from pbwtstep.pbwt import build_pbwt
-from pbwtstep.prefixsearch import SymbolPositions, build_prefix_index
+from pbwtstep.prefixsearch import SymbolPositions
 
-from conftest import pattern_battery, rand_panel, scan_prefix
+from conftest import pattern_battery, prefix_index, rand_panel, scan_prefix
 
 SMALL = Panel.from_strings(["01", "10", "00"])
 
 
 def test_small_panel_examples():
-    ix = build_prefix_index(SMALL)
+    ix = prefix_index(SMALL)
     assert ix.partial_prefix_search([0, 0]) == (2, 1, 3)
     assert ix.partial_prefix_search([1, 1]) == (1, 1, 2)
     assert ix.partial_prefix_search([]) == (0, 3, 1)
 
 
 def test_subrun_total_below_bound():
-    ix = build_prefix_index(SMALL)
+    ix = prefix_index(SMALL)
     pc = build_pbwt(SMALL)
     assert sum(fc.starts.size for fc in ix.step.fore_cols) < 2 * pc.total_runs
 
 
 def test_single_row_panel():
-    ix = build_prefix_index(Panel.from_strings(["0120"], sigma=3))
+    ix = prefix_index(Panel.from_strings(["0120"], sigma=3))
     assert all(fc.starts.size == 1 for fc in ix.step.fore_cols)
     assert ix.partial_prefix_search([0, 1, 2, 0]) == (4, 1, 1)
 
 
 def test_sorted_variant_examples():
-    ix = build_prefix_index(Panel.from_strings(["00", "01", "10"]), sorted_rows=True)
+    ix = prefix_index(Panel.from_strings(["00", "01", "10"]), sorted_rows=True)
     assert ix.prefix_search_sorted([0]) == (1, (1, 2))
     assert ix.prefix_search_sorted([]) == (0, (1, 3))
     assert ix.prefix_search_sorted([0, 1]) == (2, (2, 2))
 
 
 def test_enumeration_examples():
-    ix = build_prefix_index(SMALL, sorted_rows=True)
+    ix = prefix_index(SMALL, sorted_rows=True)
     assert ix.enumerate_prefixed([0]) == (1, [3, 1])   # sorted-position order
     m, ids = ix.enumerate_prefixed([])
     assert m == 0 and sorted(ids) == [1, 2, 3]
@@ -46,7 +46,7 @@ def test_enumeration_examples():
 
 
 def test_unsorted_index_refuses_interval_queries():
-    ix = build_prefix_index(SMALL)
+    ix = prefix_index(SMALL)
     with pytest.raises(ValueError):
         ix.prefix_search_sorted([0])
     with pytest.raises(ValueError):
@@ -56,12 +56,12 @@ def test_unsorted_index_refuses_interval_queries():
 def test_no_occurrence_inside_interval():
     # pattern whose second symbol exists in column 2 only outside the match
     # interval: the search must stop at length 1 with the correct witness
-    ix = build_prefix_index(Panel.from_strings(["01", "10", "11"]))
+    ix = prefix_index(Panel.from_strings(["01", "10", "11"]))
     assert ix.partial_prefix_search([0, 0]) == (1, 1, 1)
 
 
 def test_out_of_alphabet_symbol_unmatched():
-    ix = build_prefix_index(SMALL)
+    ix = prefix_index(SMALL)
     assert ix.partial_prefix_search([0, 7]) == (1, 2, 1)
     assert ix.partial_prefix_search([7]) == (0, 3, 1)
     with pytest.raises(ValueError):
@@ -69,7 +69,7 @@ def test_out_of_alphabet_symbol_unmatched():
 
 
 def test_pattern_longer_than_width():
-    ix = build_prefix_index(SMALL)
+    ix = prefix_index(SMALL)
     assert ix.partial_prefix_search([0, 0, 0, 0]) == (2, 1, 3)
 
 
@@ -82,6 +82,8 @@ def test_rank_select_examples():
     assert rs.select(5, 1) == 4
     with pytest.raises(ValueError):
         rs.select(0, 0)
+    empty = SymbolPositions(np.array([], np.int64))
+    assert empty.rank(0, 1) == 0 and empty.select(0, 1) == 1
 
 
 def test_rank_select_against_scan(rng):
@@ -102,7 +104,7 @@ def test_rank_select_against_scan(rng):
 
 
 def test_rank_sym_select_sym_wrappers():
-    ix = build_prefix_index(SMALL)
+    ix = prefix_index(SMALL)
     vals = ix.sym_at_start(2)
     c = int(vals[0])
     assert ix.rank_sym(2, c, len(vals)) == int(np.count_nonzero(vals == c))
@@ -112,7 +114,7 @@ def test_rank_sym_select_sym_wrappers():
 def test_matches_scan_oracle(rng):
     for _ in range(120):
         p = rand_panel(rng)
-        ix = build_prefix_index(p)
+        ix = prefix_index(p)
         for pat in pattern_battery(rng, p):
             assert ix.partial_prefix_search(pat) == scan_prefix(p, pat)
 
@@ -120,7 +122,7 @@ def test_matches_scan_oracle(rng):
 def test_matches_scan_oracle_ragged(rng):
     for _ in range(80):
         p = rand_panel(rng, ragged=True)
-        ix = build_prefix_index(p)
+        ix = prefix_index(p)
         for pat in pattern_battery(rng, p):
             assert ix.partial_prefix_search(pat) == scan_prefix(p, pat)
 
@@ -129,7 +131,7 @@ def test_sorted_and_enumeration_match_oracle(rng):
     for ragged in (False, True):
         for _ in range(50):
             p = rand_panel(rng, ragged=ragged)
-            ix = build_prefix_index(p, sorted_rows=True)
+            ix = prefix_index(p, sorted_rows=True)
             rows = [tuple(int(s) for s in r) for r in p.rows]
             for pat in pattern_battery(rng, p, count=5):
                 m, occ, _ = scan_prefix(p, pat)
@@ -144,7 +146,7 @@ def test_sorted_and_enumeration_match_oracle(rng):
 def test_witness_is_smallest_id(rng):
     for _ in range(60):
         p = rand_panel(rng)
-        ix = build_prefix_index(p)
+        ix = prefix_index(p)
         for pat in pattern_battery(rng, p, count=4):
             m, occ, witness = ix.partial_prefix_search(pat)
             rows = [tuple(int(s) for s in r) for r in p.rows]
@@ -152,14 +154,16 @@ def test_witness_is_smallest_id(rng):
             assert witness == (matching[0] if m else 1)
 
 
-def test_loop_invariant_against_shadow_pa(rng):
+def test_loop_invariant_against_scan_prefixes(rng):
+    # After k columns the search holds exactly the answer for pat[:k]. Rows
+    # sharing a k-prefix sit in id order (the PBWT sort is stable), so the
+    # oracle's smallest id is the prefix-array entry at the interval's left end.
     for _ in range(40):
         p = rand_panel(rng)
-        pc = build_pbwt(p)
-        ix = build_prefix_index(p)
-        shadow = [pc.pa_col(j) for j in range(1, pc.w + 1)]
+        ix = prefix_index(p)
         for pat in pattern_battery(rng, p, count=4):
-            ix.partial_prefix_search(pat, _shadow_pa=shadow)
+            for k in range(len(pat) + 1):
+                assert ix.partial_prefix_search(pat[:k]) == scan_prefix(p, pat[:k])
 
 
 def test_terminator_run_accounting(rng):

@@ -3,39 +3,14 @@ import pytest
 
 from pbwtstep.panel import Panel
 from pbwtstep.pbwt import build_pbwt
-from pbwtstep.retrieval import build_retrieval_index, predecessor
 
-from conftest import rand_panel
-
-
-def test_predecessor_examples():
-    assert predecessor([1, 4, 9], 5) == (4, 2)
-    assert predecessor([1, 4, 9], 4) == (4, 2)
-    assert predecessor([1, 4, 9], 100) == (9, 3)
-    with pytest.raises(ValueError):
-        predecessor([3, 4], 2)
-    with pytest.raises(ValueError):
-        predecessor([], 2)
-
-
-def test_predecessor_against_scan(rng):
-    for _ in range(200):
-        n = int(rng.integers(1, 30))
-        vals = sorted(rng.integers(0, 40, size=n).tolist())
-        q = int(rng.integers(0, 45))
-        if q < vals[0]:
-            with pytest.raises(ValueError):
-                predecessor(vals, q)
-            continue
-        want_val = max(v for v in vals if v <= q)
-        want_pos = max(k for k, v in enumerate(vals, 1) if v <= q)
-        assert predecessor(vals, q) == (want_val, want_pos)
+from conftest import rand_panel, retrieval_index
 
 
 def test_extract_examples():
-    ret = build_retrieval_index(Panel.from_strings(["01", "10", "00"]))
+    ret = retrieval_index(Panel.from_strings(["01", "10", "00"]))
     assert ret.extract(2) == [1, 0]
-    ret = build_retrieval_index(Panel.from_strings(["0123"] * 4, sigma=4))
+    ret = retrieval_index(Panel.from_strings(["0123"] * 4, sigma=4))
     assert all(ret.extract(i) == [0, 1, 2, 3] for i in range(1, 5))
     with pytest.raises(ValueError):
         ret.extract(0)
@@ -47,7 +22,7 @@ def test_full_panel_round_trip(rng):
     for ragged in (False, True):
         for _ in range(60):
             p = rand_panel(rng, ragged=ragged)
-            ret = build_retrieval_index(p)
+            ret = retrieval_index(p)
             for i in range(1, p.h + 1):
                 assert ret.extract(i) == [int(s) for s in p.rows[i - 1]]
 
@@ -73,7 +48,7 @@ class _CountingStep:
 def test_extract_work_is_one_pass(rng):
     for _ in range(20):
         p = rand_panel(rng)
-        ret = build_retrieval_index(p)
+        ret = retrieval_index(p)
         counter = _CountingStep(ret.step)
         ret.step = counter
         for i in range(1, p.h + 1):
@@ -87,8 +62,8 @@ def test_start_list_is_small(rng):
     for _ in range(40):
         p = rand_panel(rng)
         pc = build_pbwt(p)
-        ret = build_retrieval_index(p)
-        starts = ret.col1_starts
+        ret = retrieval_index(p)
+        starts = ret.step.fore_cols[0].starts
         assert starts.size <= 2 * pc.total_runs
         assert int(starts[0]) == 1
         assert np.all(np.diff(starts) > 0)
