@@ -19,7 +19,7 @@ from .prefixsearch import PrefixSearchIndex, SymbolPositions
 from .retrieval import RetrievalIndex
 from .stepindex import BackStepColumn, ForeStepColumn, StepIndex, build_step_index
 from .subruns import (SubRunLists, back_map, build_back_subruns, build_fore_subruns,
-                      build_subruns, fore_map, fore_map_by_sorting)
+                      build_subruns, fore_map)
 
 __version__ = "0.1.0"
 
@@ -32,6 +32,5 @@ __all__ = [
     "PrefixSearchIndex", "SymbolPositions", "RetrievalIndex", "BackStepColumn",
     "ForeStepColumn", "StepIndex", "build_step_index", "SubRunLists", "back_map",
     "build_back_subruns", "build_fore_subruns", "build_subruns", "fore_map",
-    "fore_map_by_sorting",
     "__version__",
 ]

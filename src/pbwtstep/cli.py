@@ -42,7 +42,7 @@ def _build_parser() -> _Parser:
     b.add_argument("--ragged", action="store_true",
                    help="allow rows of differing lengths (terminator-extended)")
     b.add_argument("--fore-only", action="store_true",
-                   help="store only the forward tables (halves the file)")
+                   help="store only the forward tables (no backward steps)")
     b.add_argument("--format", choices=["auto", "digits", "tokens"], default="auto")
 
     q = sub.add_parser("prefix", help="longest-prefix query against an index")

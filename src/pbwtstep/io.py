@@ -4,10 +4,16 @@ Panel files are either a digit matrix (one row per line, single characters,
 alphabet up to 10) or token lines (whitespace-separated integers). An optional
 header line ``#sigma=<n>`` declares the alphabet size, overriding inference.
 
-The index file is little-endian throughout: an eight-byte magic, a version,
-flag bits, a CRC-32 of the payload and the payload length, then the payload
-(dimensions, per-column step tables, prefix-search samples, and the optional
-id permutation). Rank/select over the sub-run symbols is rebuilt on load.
+Index files (format version 2; version 1 is rejected) are little-endian: an
+eight-byte magic, the version, flag bits, a CRC-32 of the payload and its
+length, then the payload: u64 h, w and sigma, then the arrays that cannot be
+derived, each flat over all columns, as a u8 element size, a u64 count and
+unsigned elements of the smallest size that fits: column lengths, fore
+sub-run starts and symbols, back sub-run starts (unless fore-only), the
+prefix-array entry at each fore sub-run start, and the ids (if sorted).
+Loading runs the builder's own assembly (``assemble_step_index``, then
+``PrefixSearchIndex``), which derives the step tables and rank/select and
+rejects arrays that do not describe a valid index.
 """
 
 from __future__ import annotations
@@ -22,11 +28,11 @@ from .panel import Panel, PanelError, validate_panel
 from .pbwt import build_pbwt
 from .prefixsearch import PrefixSearchIndex, assemble_prefix_index, sort_panel
 from .retrieval import RetrievalIndex
-from .stepindex import BackStepColumn, ForeStepColumn, StepIndex, build_step_index
+from .stepindex import StepIndex, assemble_step_index, build_step_index
 from .subruns import SubRunLists, build_back_subruns, build_fore_subruns
 
 MAGIC = b"PBWTSTEP"
-VERSION = 1
+VERSION = 2
 
 FLAG_SORTED = 1
 FLAG_TERMINATOR = 2
@@ -142,10 +148,10 @@ def build_index(p: Panel, sorted_rows: bool = False, fore_only: bool = False,
 
 # ------------------------------------------------------------- wire encoding
 
-def _put_arr(chunks: list[bytes], arr) -> None:
-    a = np.ascontiguousarray(np.asarray(arr, dtype=np.int64).reshape(-1), dtype="<i8")
-    chunks.append(struct.pack("<Q", a.size))
-    chunks.append(a.tobytes())
+def _put_arr(chunks: list[bytes], arr: np.ndarray) -> None:
+    dt = np.min_scalar_type(int(arr.max(initial=0))).newbyteorder("<")
+    chunks.append(struct.pack("<BQ", dt.itemsize, arr.size))
+    chunks.append(arr.astype(dt).tobytes())
 
 
 class _Reader:
@@ -160,41 +166,24 @@ class _Reader:
         self.off += n
         return out
 
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
-
     def arr(self) -> np.ndarray:
-        n = self.u64()
-        return np.frombuffer(self.take(8 * n), dtype="<i8").astype(np.int64)
+        size, n = struct.unpack("<BQ", self.take(9))
+        if size not in (1, 2, 4, 8):
+            raise IndexFormatError(f"array element size {size} is not 1, 2, 4 or 8")
+        return np.frombuffer(self.take(size * n), dtype=f"<u{size}").astype(np.int64)
 
 
 def _encode_payload(ix: IndexFile) -> bytes:
-    st = ix.step
-    chunks: list[bytes] = []
-    chunks.append(struct.pack("<QQQQ", st.h, st.w, ix.prefix.sigma_public, st.total_runs))
-    _put_arr(chunks, st.col_lens)
-    for j in range(1, st.w + 1):
-        fc = st.fore_cols[j - 1]
-        _put_arr(chunks, fc.starts)
-        _put_arr(chunks, fc.vals)
-        if j < st.w:
-            _put_arr(chunks, fc.nquints)
-            _put_arr(chunks, fc.quints)
-    chunks.append(struct.pack("<B", 0 if st.back_cols is None else 1))
-    if st.back_cols is not None:
-        for j in range(1, st.w + 1):
-            bc = st.back_cols[j - 1]
-            _put_arr(chunks, bc.starts)
-            _put_arr(chunks, bc.vals)
-            if j > 1:
-                _put_arr(chunks, bc.nquads)
-                _put_arr(chunks, bc.quads)
-    for j in range(1, st.w + 1):
-        _put_arr(chunks, ix.prefix.pa_at_start[j - 1])
-        _put_arr(chunks, ix.prefix.rank_at_start[j - 1])
-    chunks.append(struct.pack("<B", 0 if ix.prefix.orig_ids is None else 1))
-    if ix.prefix.orig_ids is not None:
-        _put_arr(chunks, ix.prefix.orig_ids)
+    st, pr = ix.step, ix.prefix
+    arrays = [st.col_lens, st.fore_starts, st.fore_vals]
+    if st.back_starts is not None:
+        arrays.append(st.back_starts)
+    arrays.append(pr.pa_at_start)
+    if ix.sorted_rows:
+        arrays.append(pr.orig_ids)
+    chunks = [struct.pack("<QQQ", st.h, st.w, pr.sigma_public)]
+    for arr in arrays:
+        _put_arr(chunks, arr)
     return b"".join(chunks)
 
 
@@ -204,7 +193,7 @@ def save_index(path: str, ix: IndexFile) -> int:
     flags = 0
     flags |= FLAG_SORTED if ix.sorted_rows else 0
     flags |= FLAG_TERMINATOR if ix.step.terminator is not None else 0
-    flags |= FLAG_FORE_ONLY if ix.step.back_cols is None else 0
+    flags |= FLAG_FORE_ONLY if ix.fore_only else 0
     flags |= FLAG_TOKENS if ix.panel_format == "tokens" else 0
     head = MAGIC + struct.pack("<IIIQ", VERSION, flags, zlib.crc32(payload), len(payload))
     with open(path, "wb") as fh:
@@ -236,47 +225,19 @@ def load_index(path: str) -> IndexFile:
 
 def _decode_payload(payload: bytes, flags: int) -> IndexFile:
     rd = _Reader(payload)
-    h, w, sigma_public, total_runs = struct.unpack("<QQQQ", rd.take(32))
-    col_lens = rd.arr()
-    terminator = 0 if flags & FLAG_TERMINATOR else None
-    sigma = sigma_public + (1 if terminator is not None else 0)
-
-    fore_cols = []
-    for j in range(1, w + 1):
-        starts = rd.arr()
-        vals = rd.arr()
-        if j < w:
-            nquints = rd.arr().astype(np.uint8)
-            quints = rd.arr().reshape(starts.size, 3, 5)
-        else:
-            nquints, quints = None, None
-        fore_cols.append(ForeStepColumn(starts, vals, quints, nquints))
-    back_cols = None
-    if struct.unpack("<B", rd.take(1))[0]:
-        back_cols = []
-        for j in range(1, w + 1):
-            starts = rd.arr()
-            vals = rd.arr()
-            if j > 1:
-                nquads = rd.arr().astype(np.uint8)
-                quads = rd.arr().reshape(starts.size, 3, 4)
-            else:
-                nquads, quads = None, None
-            back_cols.append(BackStepColumn(starts, vals, quads, nquads))
-    pa_at_start, rank_at_start = [], []
-    for _ in range(w):
-        pa_at_start.append(rd.arr())
-        rank_at_start.append(rd.arr())
-    orig_ids = rd.arr() if struct.unpack("<B", rd.take(1))[0] else None
+    h, w, sigma_public = struct.unpack("<QQQ", rd.take(24))
+    col_lens, fore_starts, fore_vals = rd.arr(), rd.arr(), rd.arr()
+    back_starts = None if flags & FLAG_FORE_ONLY else rd.arr()
+    pa_at_start = rd.arr()
+    orig_ids = rd.arr() if flags & FLAG_SORTED else None
     if rd.off != len(payload):
         raise IndexFormatError("trailing bytes after the last section")
-
-    step = StepIndex(h=int(h), w=int(w), sigma=int(sigma), total_runs=int(total_runs),
-                     terminator=terminator, col_lens=col_lens,
-                     back_cols=back_cols, fore_cols=fore_cols)
+    terminator = 0 if flags & FLAG_TERMINATOR else None
+    sigma = sigma_public + (1 if terminator is not None else 0)
+    step = assemble_step_index(h, w, sigma, terminator, col_lens, fore_starts, fore_vals,
+                               back_starts)
     prefix = PrefixSearchIndex(step=step, pa_at_start=pa_at_start,
-                               rank_at_start=rank_at_start,
                                sorted_rows=bool(flags & FLAG_SORTED),
-                               orig_ids=orig_ids, sigma_public=int(sigma_public))
+                               orig_ids=orig_ids, sigma_public=sigma_public)
     return IndexFile(step=step, prefix=prefix,
                      panel_format="tokens" if flags & FLAG_TOKENS else "digits")

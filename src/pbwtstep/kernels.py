@@ -30,30 +30,17 @@ def pbwt_matrix(mat, sigma):
     return pbwt, pa
 
 
-def fore_column(sym, sigma, lo):
+def fore_column(sym, lo):
     """1-based forward-step targets for one column; 0 where undefined.
 
     fore[i] = (#symbols in [lo, c)) + (#occurrences of c at or before i),
-    with c = sym[i]; positions with sym[i] < lo have no target.
+    with c = sym[i], which is i's place in a stable sort of the column less
+    the positions below lo; positions with sym[i] < lo have no target.
     """
-    cnt = np.bincount(sym, minlength=sigma)
-    base = np.zeros(sigma, np.int64)
-    base[lo:] = np.cumsum(cnt[lo:]) - cnt[lo:]
-    out = base[sym] + occ_column(sym, sigma)
-    if lo > 0:
-        out[sym < lo] = 0
+    out = np.empty(sym.size, np.int64)
+    out[np.argsort(sym, kind="stable")] = np.arange(1, sym.size + 1) - np.count_nonzero(sym < lo)
+    out[sym < lo] = 0
     return out
-
-
-def occ_column(sym, sigma):
-    """occ[i] = number of occurrences of sym[i] in sym[:i+1] (1-based count)."""
-    n = sym.size
-    cnt = np.bincount(sym, minlength=sigma)
-    order = np.argsort(sym, kind="stable")
-    grp = np.repeat(np.cumsum(cnt) - cnt, cnt)
-    occ = np.empty(n, np.int64)
-    occ[order] = np.arange(n, dtype=np.int64) - grp
-    return occ + 1
 
 
 def run_starts(sym):

@@ -54,8 +54,7 @@ class PbwtColumns:
     def fore_all(self, j: int) -> np.ndarray:
         """Forward-step targets for every position of column j (0 = undefined)."""
         if j not in self._fore:
-            self._fore[j] = kernels.fore_column(self.cols[j - 1], self.sigma,
-                                                self.steppable_from())
+            self._fore[j] = kernels.fore_column(self.cols[j - 1], self.steppable_from())
         return self._fore[j]
 
     def row_pos(self, j: int) -> np.ndarray:

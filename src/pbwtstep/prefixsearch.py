@@ -1,10 +1,10 @@
 """Prefix search over a haplotype panel in run-compressed space.
 
-The index keeps, per column, the forward-stepping sub-run boundaries plus
-three arrays sampled at sub-run starts: the prefix-array entry, the symbol,
-and the running count of that symbol. Rank/select over the per-column symbol
-arrays then locates the first/last occurrence of a pattern symbol inside the
-current match interval, and the tuple tables advance both ends in O(1).
+The index adds the prefix-array entry at every forward sub-run start to the
+step index, which supplies each sub-run's symbol and that symbol's running
+count. Rank/select over the per-column symbol arrays then locates the
+first/last occurrence of a pattern symbol inside the current match interval,
+and forward steps advance both ends in O(1).
 
 A query returns the longest prefix of the pattern shared with any row, how
 many rows carry it, and the smallest such row id.
@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels
 from .panel import Panel
 from .stepindex import StepIndex
 
@@ -59,15 +58,22 @@ def _lex_order(p: Panel) -> np.ndarray:
 
 @dataclass
 class PrefixSearchIndex:
-    step: StepIndex                    # forward side populated
-    pa_at_start: list[np.ndarray]      # per column: PA entry at each sub-run start
-    rank_at_start: list[np.ndarray]    # per column: own-symbol rank at sub-run start
+    step: StepIndex
+    pa_at_start: np.ndarray            # PA entry at each sub-run start of step.fore_starts
     sorted_rows: bool
     orig_ids: np.ndarray | None        # sorted position -> original row id
     sigma_public: int
     rank_select: list[SymbolPositions] = field(init=False, repr=False)
 
     def __post_init__(self):
+        """Check the samples against the step index; build rank/select."""
+        pa, h = self.pa_at_start, self.step.h
+        if pa.size != self.step.fore_starts.size or ((pa < 1) | (pa > h)).any():
+            raise ValueError("prefix-array samples do not fit the step index")
+        ids = self.orig_ids
+        if ids is not None and (ids.size != h or
+                                not np.array_equal(np.sort(ids), np.arange(1, h + 1))):
+            raise ValueError("stored row ids are not a permutation of 1..h")
         self.rank_select = [SymbolPositions(fc.vals) for fc in self.step.fore_cols]
 
     @property
@@ -112,7 +118,7 @@ class PrefixSearchIndex:
         m_eff = min(len(pat), st.w)
         b, e = 1, int(st.col_lens[0])
         x, xp = 1, st.fore_cols[0].starts.size
-        witness = int(self.pa_at_start[0][0])
+        witness = int(self.pa_at_start[0])
         j = 1
         full = False
         while j <= m_eff:
@@ -139,7 +145,7 @@ class PrefixSearchIndex:
                 xtp = rs.select(c, rs.rank(c, xp))
                 et = st.fore_subrun_end(j, xtp)
             if moved:
-                witness = int(self.pa_at_start[j - 1][xt - 1])
+                witness = int(self.pa_at_start[st.fore_first[j - 1] + xt - 1])
             if j < m_eff:
                 b, x = st.fore_step(bt, j, xt)
                 e, xp = st.fore_step(et, j, xtp)
@@ -152,8 +158,8 @@ class PrefixSearchIndex:
             return 0, self.h, 1
         if full:
             fc = st.fore_cols[m_eff - 1]
-            count1 = int(self.rank_at_start[m_eff - 1][x - 1]) + b - int(fc.starts[x - 1])
-            count2 = int(self.rank_at_start[m_eff - 1][xp - 1]) + e - int(fc.starts[xp - 1])
+            count1 = int(fc.rank_at_start[x - 1]) + b - int(fc.starts[x - 1])
+            count2 = int(fc.rank_at_start[xp - 1]) + e - int(fc.starts[xp - 1])
             return m_prime, count2 - count1 + 1, witness
         return m_prime, e - b + 1, witness
 
@@ -170,21 +176,15 @@ class PrefixSearchIndex:
         if self.orig_ids is None:
             raise ValueError("index was not built with the id permutation")
         m_prime, (lo, hi) = self.prefix_search_sorted(pattern)
-        return m_prime, [int(self.orig_ids[t - 1]) for t in range(lo, hi + 1)]
+        return m_prime, self.orig_ids[lo - 1:hi].tolist()
 
 
 def assemble_prefix_index(pc, step: StepIndex, sorted_rows: bool,
                           orig_ids: np.ndarray | None,
                           sigma_public: int) -> PrefixSearchIndex:
-    """Sample the prefix array and each symbol's running count at every
-    forward sub-run start of ``step``."""
-    pa_at_start, rank_at_start = [], []
-    for j, fc in enumerate(step.fore_cols, 1):
-        at = fc.starts - 1
-        pa_at_start.append(pc.pas[j - 1][at].astype(np.int64))
-        rank_at_start.append(kernels.occ_column(pc.cols[j - 1], pc.sigma)[at])
-    return PrefixSearchIndex(step=step, pa_at_start=pa_at_start,
-                             rank_at_start=rank_at_start, sorted_rows=sorted_rows,
+    """Sample the prefix array at every forward sub-run start of ``step``."""
+    pa_at_start = np.concatenate([pa[fc.starts - 1] for pa, fc in zip(pc.pas, step.fore_cols)])
+    return PrefixSearchIndex(step=step, pa_at_start=pa_at_start, sorted_rows=sorted_rows,
                              orig_ids=orig_ids, sigma_public=sigma_public)
 
 

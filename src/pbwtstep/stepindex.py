@@ -1,15 +1,23 @@
-"""Constant-time forward/backward stepping over sub-runs.
+"""Constant-time forward/backward stepping over sub-runs: a move structure.
 
-Per column, each backward sub-run stores at most three quadruples
-(src_b, src_e, dst, dst_idx): the pieces of the previous column's forward
-image that cover it, the backward target of each piece's left end, and the
-index of the sub-run holding that target. Forward sub-runs store at most
-three quintuples (start, image_b, dst_b, dst_e, dst_idx). A step is then one
-probe of at most three tuples plus integer arithmetic; neither the panel, the
-PBWT nor the prefix arrays are consulted.
+The index stores each column's sub-run starts and the fore sub-runs'
+symbols. ``assemble_step_index`` derives the rest for the whole index at
+once, from flat arrays concatenated across columns, for both
+``build_step_index`` and ``io.load_index``:
 
-Queries take and return (row, sub-run index) pairs so that steps can be
-chained across columns without any lookup.
+* forward: fore sub-run x of column j maps row i to
+  ``t = i - starts[x] + image_b[x]``, with ``image_b = C_j[c] + rank_at_start``
+  (symbols below c plus the rank of c); t lies in next-column sub-run
+  ``first_lam[x]`` or one of the two after it;
+* backward: column j's pieces are the forward images of column j-1's back
+  sub-runs, by start (``piece_b``, ``piece_src``); back sub-run x overlaps
+  at most three of them from ``first_piece[x]`` on.
+
+The assembly raises ValueError unless the arrays describe a valid index
+that meets the paper's bounds (fewer than ``2*total_runs`` sub-runs per
+side, at most three overlaps per image), so no step can fail on a file that
+loaded. Queries take and return (row, sub-run index) pairs, so steps chain
+across columns without any lookup.
 """
 
 from __future__ import annotations
@@ -19,37 +27,43 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pbwt import PbwtColumns
-from .subruns import SubRunLists, fore_map, live_subruns
-
-TUPLE_CAP = 3  # inline capacity; the three-overlap constraint makes it exact
-
-
-@dataclass
-class BackStepColumn:
-    starts: np.ndarray              # left endpoints of the column's back sub-runs
-    vals: np.ndarray                # symbol of each sub-run
-    quads: np.ndarray | None        # (n, 3, 4) int64; None in column 1
-    nquads: np.ndarray | None
+from .subruns import SubRunLists
 
 
 @dataclass
 class ForeStepColumn:
-    starts: np.ndarray
+    starts: np.ndarray                 # left endpoints of the column's fore sub-runs
+    vals: np.ndarray                   # symbol of each sub-run
+    rank_at_start: np.ndarray          # occurrences of that symbol up to the start
+    image_b: np.ndarray | None         # image of each start in column j+1; None in the last column
+    first_lam: np.ndarray | None       # next-column sub-run holding image_b (1-based)
+    nquints: np.ndarray | None         # next-column sub-runs the image overlaps; 0 on terminators
+
+
+@dataclass
+class BackStepColumn:
+    starts: np.ndarray                 # left endpoints of the column's back sub-runs
     vals: np.ndarray
-    quints: np.ndarray | None       # (n, 3, 5) int64; None in the last column
-    nquints: np.ndarray | None
+    first_piece: np.ndarray | None     # first piece each sub-run overlaps (0-based); None in column 1
+    nquads: np.ndarray | None          # pieces each sub-run overlaps
+    piece_b: np.ndarray | None         # piece starts, ascending
+    piece_src: np.ndarray | None       # column j-1 back sub-run each piece is the image of
 
 
 @dataclass
 class StepIndex:
     h: int
     w: int
-    sigma: int                      # internal alphabet size
-    total_runs: int
+    sigma: int                         # internal alphabet size
     terminator: int | None
-    col_lens: np.ndarray            # per-column height (h everywhere when fixed)
-    back_cols: list[BackStepColumn] | None
+    col_lens: np.ndarray               # per-column height (h everywhere when fixed)
+    fore_starts: np.ndarray            # stored: every column's fore sub-run starts in turn
+    fore_vals: np.ndarray              # stored: their symbols
+    back_starts: np.ndarray | None     # stored: back sub-run starts; None when fore-only
+    fore_first: list[int]              # flat index of each column's first fore sub-run
+    total_runs: int
     fore_cols: list[ForeStepColumn]
+    back_cols: list[BackStepColumn] | None
 
     # -- locate helpers (queries proper take the sub-run index as input) ----
 
@@ -59,46 +73,48 @@ class StepIndex:
     def find_fore_subrun(self, j: int, i: int) -> int:
         return int(np.searchsorted(self.fore_cols[j - 1].starts, i, side="right"))
 
-    def back_subrun_end(self, j: int, x: int) -> int:
-        starts = self.back_cols[j - 1].starts
+    def _subrun_end(self, starts: np.ndarray, j: int, x: int) -> int:
         return int(starts[x]) - 1 if x < starts.size else int(self.col_lens[j - 1])
 
+    def back_subrun_end(self, j: int, x: int) -> int:
+        return self._subrun_end(self.back_cols[j - 1].starts, j, x)
+
     def fore_subrun_end(self, j: int, x: int) -> int:
-        starts = self.fore_cols[j - 1].starts
-        return int(starts[x]) - 1 if x < starts.size else int(self.col_lens[j - 1])
+        return self._subrun_end(self.fore_cols[j - 1].starts, j, x)
+
+    def _require_inside(self, starts: np.ndarray, i: int, j: int, x: int, side: str) -> None:
+        if not (1 <= x <= starts.size and starts[x - 1] <= i <= self._subrun_end(starts, j, x)):
+            raise ValueError(f"row {i} outside {side} sub-run {x} of column {j}")
 
     # -- queries -------------------------------------------------------------
 
     def back_step(self, i: int, j: int, x: int) -> tuple[int, int]:
         """Map (row i, back sub-run x) of column j to column j-1."""
+        if self.back_cols is None or not 2 <= j <= self.w:
+            raise ValueError(f"no backward step from column {j}")
         bc = self.back_cols[j - 1]
-        assert bc.quads is not None, f"no backward step from column {j}"
-        assert bc.starts[x - 1] <= i <= self.back_subrun_end(j, x), \
-            f"row {i} outside back sub-run {x} of column {j}"
-        quads = bc.quads[x - 1]
-        for k in range(int(bc.nquads[x - 1])):
-            sb, se, dst, lam = quads[k]
-            if sb <= i <= se:
-                return int(i - sb + dst), int(lam)
-        raise LookupError(f"no covering quadruple for row {i}, column {j}, sub-run {x}")
+        self._require_inside(bc.starts, i, j, x, "back")
+        pb = bc.piece_b
+        p = int(bc.first_piece[x - 1])
+        while p + 1 < pb.size and pb[p + 1] <= i:
+            p += 1
+        src = int(bc.piece_src[p])
+        return i - int(pb[p]) + int(self.back_cols[j - 2].starts[src - 1]), src
 
     def fore_step(self, i: int, j: int, x: int) -> tuple[int, int]:
         """Map (row i, fore sub-run x) of column j to column j+1."""
+        if not 1 <= j < self.w:
+            raise ValueError(f"no forward step from column {j}")
         fc = self.fore_cols[j - 1]
-        assert fc.quints is not None, f"no forward step from column {j}"
-        assert fc.starts[x - 1] <= i <= self.fore_subrun_end(j, x), \
-            f"row {i} outside fore sub-run {x} of column {j}"
-        quints = fc.quints[x - 1]
-        nq = int(fc.nquints[x - 1])
-        if nq == 0:
-            raise LookupError(f"forward step undefined on terminator sub-run {x} of column {j}")
-        start, img = int(quints[0, 0]), int(quints[0, 1])
-        target = i - start + img
-        for k in range(nq):
-            _, _, db, de, lam = quints[k]
-            if db <= target <= de:
-                return target, int(lam)
-        raise LookupError(f"no covering quintuple for row {i}, column {j}, sub-run {x}")
+        self._require_inside(fc.starts, i, j, x, "fore")
+        if fc.nquints[x - 1] == 0:
+            raise ValueError(f"no forward step from terminator sub-run {x} of column {j}")
+        t = i - int(fc.starts[x - 1]) + int(fc.image_b[x - 1])
+        lam = int(fc.first_lam[x - 1])
+        nxt = self.fore_cols[j].starts
+        while lam < nxt.size and nxt[lam] <= t:
+            lam += 1
+        return t, lam
 
     def symbol_at_back(self, j: int, x: int) -> int:
         return int(self.back_cols[j - 1].vals[x - 1])
@@ -107,101 +123,146 @@ class StepIndex:
         return int(self.fore_cols[j - 1].vals[x - 1])
 
     def stored_words(self) -> int:
-        """Integer slots actually used (padding excluded)."""
-        total = 0
-        if self.back_cols is not None:
-            for bc in self.back_cols:
-                total += 2 * bc.starts.size
-                if bc.nquads is not None:
-                    total += 4 * int(bc.nquads.sum())
-        for fc in self.fore_cols:
-            total += 2 * fc.starts.size
-            if fc.nquints is not None:
-                total += 5 * int(fc.nquints.sum())
-        return total
+        """Integers the index file stores for stepping."""
+        back = 0 if self.back_starts is None else self.back_starts.size
+        return self.col_lens.size + 2 * self.fore_starts.size + back
 
 
-def _overlap_walk(covers, targets):
-    """Yield, per ``covers`` interval, the ``targets`` intervals overlapping it.
+def _split_columns(starts: np.ndarray, col_lens: np.ndarray, side: str):
+    """Column of each flat sub-run start, each column's first flat index, and
+    the sub-run lengths. Each column's starts begin at 1, which is what marks
+    the column boundaries, and must strictly increase within the column."""
+    first = np.flatnonzero(starts == 1)
+    if first.size != col_lens.size or first[0] != 0:
+        raise ValueError(f"{side} sub-run starts do not split into {col_lens.size} columns")
+    col = np.cumsum(starts == 1) - 1
+    ends = np.empty_like(starts)                   # one past each sub-run's last row
+    ends[:-1] = starts[1:]
+    ends[np.append(first[1:], starts.size) - 1] = col_lens + 1
+    lens = ends - starts
+    if (lens < 1).any():
+        raise ValueError(f"{side} sub-run starts not increasing inside their column")
+    return col, first, lens
 
-    Both are sorted partitions of the same range; one monotone pass total.
-    Yields (cover_pos, [(target_interval, target_idx), ...]) with 1-based idx.
+
+def assemble_step_index(h: int, w: int, sigma: int, terminator: int | None,
+                        col_lens, fore_starts, fore_vals, back_starts) -> StepIndex:
+    """Derive the step arrays from the stored ones and check them.
+
+    ``fore_starts``/``fore_vals``/``back_starts`` hold every column's sub-runs
+    in turn (``back_starts`` is None for a fore-only index). Raises
+    ValueError when they do not describe a valid index.
     """
-    k = 0
-    items = targets.items
-    for pos, iv in enumerate(covers, 1):
-        while items[k].e < iv.b:
-            k += 1
-        kk = k
-        hits = []
-        while True:
-            hits.append((items[kk], kk + 1))
-            if items[kk].e >= iv.e:
-                break
-            kk += 1
-        k = kk
-        yield pos, hits
+    col_lens, fs, fv = (np.asarray(a, dtype=np.int64) for a in (col_lens, fore_starts, fore_vals))
+    # the limits keep the global row positions below inside int64
+    if not (h >= 1 and w >= 1 and 1 <= sigma < 2**62 and h * w < 2**62):
+        raise ValueError(f"dimensions out of range: h={h} w={w} sigma={sigma}")
+    if col_lens.size != w or int(col_lens[0]) != h or fv.size != fs.size:
+        raise ValueError("array sizes do not match the dimensions")
+    fcol, ffirst, flen = _split_columns(fs, col_lens, "fore")
+    if ((fv < 0) | (fv >= sigma)).any():
+        raise ValueError("fore sub-run symbol outside the alphabet")
+    lo = 0 if terminator is None else terminator + 1
+    live = fv >= lo
+    if not np.array_equal(col_lens[1:], np.add.reduceat(flen * live, ffirst)[:-1]):
+        raise ValueError("column lengths differ from the rows stepping into them")
+    base = np.cumsum(col_lens) - col_lens          # row i of column j sits at base[j-1] + i
+    fglob = base[fcol] + fs
+
+    # rank_at_start and image_b: one stable sort on (column, symbol)
+    order = np.lexsort((fv, fcol))
+    slen, scol, ssym = flen[order], fcol[order], fv[order]
+    group = np.ones(fs.size, bool)
+    group[1:] = (scol[1:] != scol[:-1]) | (ssym[1:] != ssym[:-1])
+    excl = np.cumsum(slen) - slen
+    rank = np.empty_like(fs)
+    rank[order] = excl - excl[np.flatnonzero(group)][np.cumsum(group) - 1] + 1
+    slive = slen * (ssym >= lo)                    # terminators sort first and add nothing
+    lexcl = np.cumsum(slive) - slive
+    simage = lexcl - lexcl[ffirst][scol] + 1
+
+    # first_lam and nquints: the next column's sub-runs under each image,
+    # searched in sort order, where the images ascend
+    ssteps = np.flatnonzero((ssym >= lo) & (scol < w - 1))
+    tb = base[scol[ssteps] + 1] + simage[ssteps]
+    first = np.searchsorted(fglob, tb, side="right") - 1
+    last = np.searchsorted(fglob, tb + slen[ssteps] - 1, side="right") - 1
+    if (last - first >= 3).any():
+        raise ValueError("a fore sub-run's image overlaps more than 3 sub-runs")
+    steps = order[ssteps]
+    image, first_lam, nquints = np.zeros_like(fs), np.zeros_like(fs), np.zeros_like(fs)
+    image[steps] = simage[ssteps]
+    first_lam[steps] = first - ffirst[scol[ssteps] + 1] + 1
+    nquints[steps] = last - first + 1
+
+    run_start = np.ones(fs.size, bool)
+    run_start[1:] = fv[1:] != fv[:-1]
+    run_start[ffirst] = True
+    total_runs = int(run_start.sum())
+    if fs.size >= 2 * total_runs:
+        raise ValueError(f"{fs.size} fore sub-runs, not fewer than 2*total_runs")
+
+    fb = np.append(ffirst, fs.size).tolist()
+    fore_cols = [ForeStepColumn(fs[a:b], fv[a:b], rank[a:b], image[a:b], first_lam[a:b],
+                                nquints[a:b]) for a, b in zip(fb[:-2], fb[1:-1])]
+    a = fb[-2]
+    fore_cols.append(ForeStepColumn(fs[a:], fv[a:], rank[a:], None, None, None))
+
+    bs, back_cols = None, None
+    if back_starts is not None:
+        bs = np.asarray(back_starts, dtype=np.int64)
+        bcol, bfirst, blen = _split_columns(bs, col_lens, "back")
+        if bs.size >= 2 * total_runs:
+            raise ValueError(f"{bs.size} back sub-runs, not fewer than 2*total_runs")
+        bglob = base[bcol] + bs
+        if not np.isin(fglob[run_start], bglob).all():
+            raise ValueError("a run boundary is not a back sub-run start")
+        # each back sub-run lies in one run, so the fore sub-run holding its
+        # start gives its symbol and the start of its contiguous image
+        k = np.searchsorted(fglob, bglob, side="right") - 1
+        bvals = fv[k]
+        src = np.flatnonzero((bvals >= lo) & (bcol < w - 1))
+        pglob = base[bcol[src] + 1] + image[k[src]] + bs[src] - fs[k[src]]
+        porder = np.argsort(pglob, kind="stable")
+        pglob, src = pglob[porder], src[porder]
+        pcol = bcol[src] + 1
+        pb = np.searchsorted(pcol, np.arange(w + 1))
+        piece_b = pglob - base[pcol]
+        piece_src = src - bfirst[bcol[src]] + 1
+        # the pieces tile columns 2..w, so these searches stay in the column
+        tail = np.flatnonzero(bcol > 0)
+        first = np.searchsorted(pglob, bglob[tail], side="right") - 1
+        last = np.searchsorted(pglob, bglob[tail] + blen[tail] - 1, side="right") - 1
+        nquads = last - first + 1
+        if (nquads > 3).any():
+            raise ValueError("a back sub-run overlaps more than 3 pieces")
+        first_piece, nq = np.zeros_like(bs), np.zeros_like(bs)
+        first_piece[tail] = first - pb[bcol[tail]]
+        nq[tail] = nquads
+
+        bb, pb = np.append(bfirst, bs.size).tolist(), pb.tolist()
+        back_cols = [BackStepColumn(bs[:bb[1]], bvals[:bb[1]], None, None, None, None)]
+        for j in range(1, w):
+            a, b = bb[j], bb[j + 1]
+            back_cols.append(BackStepColumn(bs[a:b], bvals[a:b], first_piece[a:b], nq[a:b],
+                                            piece_b[pb[j]:pb[j + 1]],
+                                            piece_src[pb[j]:pb[j + 1]]))
+
+    return StepIndex(h=h, w=w, sigma=sigma, terminator=terminator, col_lens=col_lens,
+                     fore_starts=fs, fore_vals=fv, back_starts=bs, fore_first=fb[:-1],
+                     total_runs=total_runs, fore_cols=fore_cols, back_cols=back_cols)
 
 
 def build_step_index(pc: PbwtColumns, sr: SubRunLists) -> StepIndex:
-    """Populate the tuple tables from built sub-run lists.
+    """Step tables from built sub-run lists.
 
-    Backward tables are built only when ``sr.back_lists`` is non-empty;
-    forward tables always are. The sub-run lists themselves are not needed
-    afterwards; their boundaries survive as the per-column ``starts`` arrays.
+    Backward tables are built only when ``sr.back_lists`` is non-empty. Only
+    the lists' starts and the fore sub-runs' symbols are read; the rest is
+    derived by ``assemble_step_index``.
     """
-    w = pc.w
-    col_lens = np.array([pc.col_len(j) for j in range(1, w + 1)], np.int64)
-
-    back_cols = None
-    if sr.back_lists:
-        back_cols = []
-        for j in range(1, w + 1):
-            lst = sr.back_lists[j - 1]
-            starts = lst.starts()
-            vals = pc.cols[j - 1][starts - 1]
-            if j == 1:
-                back_cols.append(BackStepColumn(starts, vals, None, None))
-                continue
-            prev = sr.back_lists[j - 2]
-            live, live_idx = live_subruns(pc, j - 1, prev)
-            image = fore_map(pc, j - 1, live)
-            quads = np.zeros((len(lst), TUPLE_CAP, 4), np.int64)
-            nquads = np.zeros(len(lst), np.uint8)
-            for pos, hits in _overlap_walk(lst.items, image):
-                for iv, img_idx in hits:
-                    lam = live_idx[image.sources[img_idx - 1] - 1]
-                    dst = prev[lam - 1].b
-                    slot = nquads[pos - 1]
-                    assert slot < TUPLE_CAP, "three-overlap constraint violated"
-                    quads[pos - 1, slot] = (iv.b, iv.e, dst, lam)
-                    nquads[pos - 1] += 1
-            back_cols.append(BackStepColumn(starts, vals, quads, nquads))
-
-    fore_cols = []
-    for j in range(1, w + 1):
-        lst = sr.fore_lists[j - 1]
-        starts = lst.starts()
-        vals = pc.cols[j - 1][starts - 1]
-        if j == w:
-            fore_cols.append(ForeStepColumn(starts, vals, None, None))
-            continue
-        nxt = sr.fore_lists[j]
-        live, live_idx = live_subruns(pc, j, lst)
-        image = fore_map(pc, j, live)
-        quints = np.zeros((len(lst), TUPLE_CAP, 5), np.int64)
-        nquints = np.zeros(len(lst), np.uint8)
-        for pos, hits in _overlap_walk(image.items, nxt):
-            tau = live_idx[image.sources[pos - 1] - 1]
-            start = lst[tau - 1].b
-            img_b = image[pos - 1].b
-            for iv, lam in hits:
-                slot = nquints[tau - 1]
-                assert slot < TUPLE_CAP, "three-overlap constraint violated"
-                quints[tau - 1, slot] = (start, img_b, iv.b, iv.e, lam)
-                nquints[tau - 1] += 1
-        fore_cols.append(ForeStepColumn(starts, vals, quints, nquints))
-
-    return StepIndex(h=pc.h, w=w, sigma=pc.sigma, total_runs=pc.total_runs,
-                     terminator=pc.terminator, col_lens=col_lens,
-                     back_cols=back_cols, fore_cols=fore_cols)
+    fore = [lst.starts() for lst in sr.fore_lists]
+    vals = [col[s - 1] for col, s in zip(pc.cols, fore)]
+    back = np.concatenate([lst.starts() for lst in sr.back_lists]) if sr.back_lists else None
+    return assemble_step_index(pc.h, pc.w, pc.sigma, pc.terminator,
+                               [col.size for col in pc.cols], np.concatenate(fore),
+                               np.concatenate(vals), back)

@@ -35,17 +35,11 @@ class SubRunLists:
         return sum(len(lst) for lst in self.fore_lists)
 
 
-def live_subruns(pc: PbwtColumns, j: int, items) -> tuple[list[Interval], list[int]]:
-    """Sub-runs of column j that have a forward image, with their 1-based
-    indices in the given list (everything, unless a terminator is present)."""
-    col = pc.cols[j - 1]
-    lo = pc.steppable_from()
-    live, idx = [], []
-    for k, iv in enumerate(items, 1):
-        if col[iv.b - 1] >= lo:
-            live.append(iv)
-            idx.append(k)
-    return live, idx
+def live_subruns(pc: PbwtColumns, j: int, items) -> list[Interval]:
+    """Sub-runs of column j that have a forward image (all of them, unless a
+    terminator is present)."""
+    col, lo = pc.cols[j - 1], pc.steppable_from()
+    return [iv for iv in items if col[iv.b - 1] >= lo]
 
 
 def _check_within_run(pc: PbwtColumns, j: int, iv: Interval) -> None:
@@ -78,22 +72,6 @@ def fore_map(pc: PbwtColumns, j: int, items) -> IntervalList:
                         sources=[idx for _, _, idx in merged])
 
 
-def fore_map_by_sorting(pc: PbwtColumns, j: int, items) -> IntervalList:
-    """Comparison-sort fallback for fore_map, kept as the oracle path."""
-    col = pc.cols[j - 1]
-    fore = pc.fore_all(j)
-    lo = pc.steppable_from()
-    imgs = []
-    for idx, iv in enumerate(items, 1):
-        if col[iv.b - 1] < lo:
-            raise ValueError(f"interval {iv} lies on a terminator run in column {j}")
-        _check_within_run(pc, j, iv)
-        imgs.append((int(fore[iv.b - 1]), int(fore[iv.e - 1]), idx))
-    imgs.sort()
-    return IntervalList([Interval(b, e) for b, e, _ in imgs],
-                        sources=[idx for _, _, idx in imgs])
-
-
 def back_map(pc: PbwtColumns, j: int, items, validate: bool = True) -> IntervalList:
     """Backward image of column-j sub-runs, sorted by left endpoint."""
     if not 1 < j <= pc.w:
@@ -118,7 +96,7 @@ def build_back_subruns(pc: PbwtColumns) -> list[IntervalList]:
     list."""
     lists = [pc.runs_at(1)]
     for j in range(2, pc.w + 1):
-        live, _ = live_subruns(pc, j - 1, lists[-1])
+        live = live_subruns(pc, j - 1, lists[-1])
         image = fore_map(pc, j - 1, live)
         lists.append(normalize(pc.runs_at(j), image))
     return lists
@@ -132,7 +110,7 @@ def build_fore_subruns(pc: PbwtColumns) -> list[IntervalList]:
     lists: list[IntervalList | None] = [None] * w
     lists[w - 1] = pc.runs_at(w)
     for j in range(w - 1, 0, -1):
-        live, _ = live_subruns(pc, j, pc.runs_at(j))
+        live = live_subruns(pc, j, pc.runs_at(j))
         image = fore_map(pc, j, live)
         refined = normalize(image, lists[j])
         pulled = back_map(pc, j + 1, refined.items, validate=False)

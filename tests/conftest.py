@@ -66,6 +66,16 @@ def pos_lookup_fore(pc):
     return tables
 
 
+def fore_map_by_sorting(pc, j, items):
+    """fore_map by comparison sort of the images' end points instead of a
+    merge of the symbol classes; ``sources`` as in fore_map."""
+    fore = pc.fore_all(j)
+    imgs = sorted((int(fore[iv.b - 1]), int(fore[iv.e - 1]), idx)
+                  for idx, iv in enumerate(items, 1))
+    return IntervalList([Interval(b, e) for b, e, _ in imgs],
+                        sources=[idx for _, _, idx in imgs])
+
+
 def pos_lookup_back(pc):
     tables = [None]
     for j in range(2, pc.w + 1):

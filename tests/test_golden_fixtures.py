@@ -59,9 +59,11 @@ def test_back_quadruples_and_step():
                      fore_lists=build_fore_subruns(pc))
     st = build_step_index(pc, sr)
     bc = st.back_cols[1]
+    # sub-run [6,10] overlaps the images of column-1 sub-runs 1, 7 and 8
     assert int(bc.nquads[2]) == 3
-    assert [tuple(q) for q in bc.quads[2][:3]] == [(6, 7, 1, 1), (8, 9, 12, 7),
-                                                   (10, 10, 14, 8)]
+    p = int(bc.first_piece[2])
+    assert bc.piece_b[p:p + 3].tolist() == [6, 8, 10]
+    assert bc.piece_src[p:p + 3].tolist() == [1, 7, 8]
     assert st.back_step(7, 2, 3) == (2, 1)
 
 
@@ -87,8 +89,8 @@ def test_fore_quintuples_and_step():
     sr = SubRunLists(back_lists=[], fore_lists=build_fore_subruns(pc))
     st = build_step_index(pc, sr)
     fc = st.fore_cols[0]
+    # sub-run [11,15] maps onto [6,10], which column-2 sub-runs 4, 5 and 6 cover
+    assert int(fc.image_b[3]) == 6
+    assert int(fc.first_lam[3]) == 4
     assert int(fc.nquints[3]) == 3
-    assert [tuple(q) for q in fc.quints[3][:3]] == [(11, 6, 6, 7, 4),
-                                                    (11, 6, 8, 9, 5),
-                                                    (11, 6, 10, 10, 6)]
     assert st.fore_step(14, 1, 4) == (9, 5)

@@ -1,9 +1,12 @@
+import dataclasses
 import os
+import re
 import struct
 import subprocess
 import sys
 import zlib
 
+import numpy as np
 import pytest
 
 from pbwtstep.cli import main
@@ -123,22 +126,95 @@ def test_version_mismatch_rejected(rng, tmp_path):
         load_index(str(path))
 
 
+def _array_elements(blob):
+    """(offset of the first element, element size, count) of every array in
+    a saved index's payload, which follows the header and three u64 dims."""
+    off, out = len(MAGIC) + 20 + 24, []
+    while off < len(blob):
+        size, n = struct.unpack_from("<BQ", blob, off)
+        out.append((off + 9, size, n))
+        off += 9 + size * n
+    return out
+
+
+def _write_with_crc(path, blob):
+    head = len(MAGIC) + 20
+    struct.pack_into("<I", blob, len(MAGIC) + 8, zlib.crc32(bytes(blob[head:])))
+    path.write_bytes(bytes(blob))
+
+
 def test_malformed_crc_valid_payload_rejected(tmp_path, capsys):
-    # one more column-1 start than written: every later array is misread,
+    # one more fore sub-run start than written: every later array is misread,
     # but the checksum is recomputed, so only decoding can catch it
     path = tmp_path / "ix.bin"
     save_index(str(path), build_index(Panel.from_strings(["0110", "1011", "0001", "1100"])))
     blob = bytearray(path.read_bytes())
-    head = len(MAGIC) + 20
-    at = head + 32 + 8 + 8 * 4            # dims, then col_lens (count + 4 values)
-    count = struct.unpack_from("<Q", blob, at)[0]
-    struct.pack_into("<Q", blob, at, count + 1)
-    struct.pack_into("<I", blob, len(MAGIC) + 8, zlib.crc32(bytes(blob[head:])))
-    path.write_bytes(bytes(blob))
+    first, _, count = _array_elements(blob)[1]           # fore starts, after col_lens
+    struct.pack_into("<Q", blob, first - 8, count + 1)
+    _write_with_crc(path, blob)
     with pytest.raises(IndexFormatError):
         load_index(str(path))
     assert main(["extract", str(path), "1"]) == 2
     assert "index error" in capsys.readouterr().err
+
+
+def test_corrupt_array_elements_exit_cleanly(tmp_path, capsys):
+    # every stored array element set to 0, 7 and its dtype's maximum, with the
+    # checksum recomputed: queries answer (exit 0) or the load refuses (exit 2)
+    cases = [(["0110", "1011", "0001", "1100", "0110", "1010"], [], "011"),
+             (["011", "1", "0010", "11", "0111", "10"], ["--ragged", "--sorted"], "01")]
+    for k, (rows, flags, pattern) in enumerate(cases):
+        panel, path = tmp_path / f"p{k}.txt", tmp_path / f"ix{k}.bin"
+        panel.write_text("\n".join(rows) + "\n")
+        assert main(["build", str(panel), "-o", str(path)] + flags) == 0
+        queries = [["extract", str(path), "1"], ["extract", str(path), str(len(rows))],
+                   ["prefix", str(path), pattern] + (["--enumerate"] if flags else [])]
+        clean = bytearray(path.read_bytes())
+        for first, size, count in _array_elements(clean):
+            for at in range(first, first + size * count, size):
+                for value in (0, 7, 256 ** size - 1):
+                    blob = bytearray(clean)
+                    blob[at:at + size] = value.to_bytes(size, "little")
+                    _write_with_crc(path, blob)
+                    for q in queries:
+                        assert main(q) in (0, 2), (q, at, value)
+        capsys.readouterr()
+
+
+def test_version_1_rejected(rng, tmp_path, capsys):
+    path = tmp_path / "ix.bin"
+    save_index(str(path), build_index(rand_panel(rng)))
+    blob = bytearray(path.read_bytes())
+    struct.pack_into("<I", blob, len(MAGIC), 1)
+    path.write_bytes(bytes(blob))
+    with pytest.raises(IndexFormatError, match="unsupported index version 1"):
+        load_index(str(path))
+    assert main(["extract", str(path), "1"]) == 2
+    assert "unsupported index version 1" in capsys.readouterr().err
+
+
+def test_loaded_tables_equal_built(rng, tmp_path):
+    # build and load derive the step tables through the same assembly
+    for kw in ({}, {"fore_only": True}, {"sorted_rows": True, "ragged": True}):
+        for _ in range(8):
+            ragged = kw.get("ragged", False)
+            p = rand_panel(rng, ragged=ragged)
+            ix = build_index(p, sorted_rows=kw.get("sorted_rows", False),
+                             fore_only=kw.get("fore_only", False))
+            path = tmp_path / "ix.bin"
+            save_index(str(path), ix)
+            loaded = load_index(str(path))
+            st, lst = ix.step, loaded.step
+            assert (lst.total_runs, lst.fore_first) == (st.total_runs, st.fore_first)
+            assert np.array_equal(loaded.prefix.pa_at_start, ix.prefix.pa_at_start)
+            pairs = list(zip(st.fore_cols, lst.fore_cols))
+            assert (st.back_cols is None) == (lst.back_cols is None) == ix.fore_only
+            if st.back_cols is not None:
+                pairs += list(zip(st.back_cols, lst.back_cols))
+            for built, got in pairs:
+                for f in dataclasses.fields(built):
+                    a, b = getattr(built, f.name), getattr(got, f.name)
+                    assert (a is None and b is None) or np.array_equal(a, b), f.name
 
 
 def test_trailing_bytes_rejected(rng, tmp_path):
@@ -281,3 +357,18 @@ print(summary)
     assert lines[0] == "True"                   # control: unpatched selftest passes
     assert lines[1] == "False"
     assert "extract mismatch" in lines[2]
+
+
+def test_selftest_failure_counts_passed_checks(monkeypatch):
+    from pbwtstep.retrieval import RetrievalIndex
+    from pbwtstep.selftest import run_selftest
+
+    monkeypatch.setattr(RetrievalIndex, "extract", lambda self, i: [-1])
+    ok, summary = run_selftest(panels=3)
+    assert not ok and "extract mismatch" in summary
+    m = re.search(r"FAILED after (\d+) checks", summary)
+    assert m and int(m.group(1)) > 0
+    # a query path that raises is a failure too, not an escaped exception
+    monkeypatch.setattr(RetrievalIndex, "extract", lambda self, i: self.step.fore_step(0, 1, 1))
+    ok, summary = run_selftest(panels=3)
+    assert not ok and "FAILED after" in summary

@@ -4,10 +4,9 @@ from pbwtstep.panel import Interval, IntervalList, Panel
 from pbwtstep.pbwt import build_pbwt, naive_back, naive_fore
 from pbwtstep.normalize import overlap_count
 from pbwtstep.subruns import (back_map, build_back_subruns, build_fore_subruns,
-                              build_subruns, fore_map, fore_map_by_sorting,
-                              live_subruns)
+                              build_subruns, fore_map, live_subruns)
 
-from conftest import rand_panel
+from conftest import fore_map_by_sorting, rand_panel
 
 
 def test_fore_map_elementwise(rng):
@@ -69,7 +68,7 @@ def test_build_back_subruns_bases_and_bounds(rng):
         assert lists[0] == pc.runs_at(1)
         assert sum(len(l) for l in lists) < 2 * pc.total_runs
         for j in range(2, pc.w + 1):
-            live, _ = live_subruns(pc, j - 1, lists[j - 2])
+            live = live_subruns(pc, j - 1, lists[j - 2])
             image = fore_map(pc, j - 1, live)
             for iv in lists[j - 1].items:
                 assert overlap_count(iv, image) <= 3
@@ -89,7 +88,7 @@ def test_build_fore_subruns_bases_and_bounds(rng):
         assert sum(len(l) for l in lists) < 2 * pc.total_runs
         for j in range(1, pc.w):
             # forward images of column-j sub-runs overlap <= 3 next-column sub-runs
-            live, _ = live_subruns(pc, j, lists[j - 1])
+            live = live_subruns(pc, j, lists[j - 1])
             image = fore_map(pc, j, live)
             for iv in image.items:
                 assert overlap_count(iv, lists[j]) <= 3
