@@ -10,7 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .panel import Interval, IntervalList, Panel, validate_panel
+import numpy as np
+
+from .panel import Panel, validate_panel
 from .pbwt import PbwtColumns, build_pbwt
 
 
@@ -20,18 +22,12 @@ def adjacent_distinct_pairs(p: Panel) -> int:
     return sum(1 for a, b in zip(rows, rows[1:]) if a != b)
 
 
-def canonical_intervals(pc: PbwtColumns, p: Panel, j: int) -> IntervalList:
-    """Maximal blocks of column j's ordering whose full rows are identical."""
-    rows = p.row_tuples()
-    pa = pc.pa_col(j)
-    items = []
-    b = 1
-    for i in range(2, pa.size + 1):
-        if rows[pa[i - 1] - 1] != rows[pa[i - 2] - 1]:
-            items.append(Interval(b, i - 1))
-            b = i
-    items.append(Interval(b, pa.size))
-    return IntervalList(items)
+def canonical_intervals(pc: PbwtColumns, p: Panel, j: int) -> np.ndarray:
+    """1-based starts of the maximal blocks of column j's ordering whose full
+    rows are identical."""
+    ordered = np.vstack(p.rows)[pc.pa_col(j) - 1]
+    differs = (ordered[1:] != ordered[:-1]).any(axis=1)
+    return np.concatenate(([1], np.flatnonzero(differs) + 2))
 
 
 @dataclass

@@ -1,33 +1,14 @@
-"""Hot build kernels, written as whole-column numpy operations.
+"""Per-column build kernels, written as whole-column numpy operations.
 
 All kernels speak the internal convention: symbols are ints in [0, sigma);
 ``lo`` is the smallest steppable symbol (1 when symbol 0 is a terminator that
-drops out of the next column, else 0). Returned positions are 1-based.
+drops out of the next column, else 0). ``fore_column`` returns 1-based
+positions, ``run_starts`` 0-based indices.
 """
 
 import numpy as np
 
 BACKEND = "numpy"  # named in benchmark reports
-
-
-def pbwt_matrix(mat, sigma):
-    """Column-wise stable bucket pass over a fixed-length panel.
-
-    mat: (h, w) int64 matrix of symbols. Returns (pbwt, pa), both (h, w)
-    int64; pa holds 1-based row ids. The stable argsort on an integer
-    column is numpy's radix sort, i.e. one counting-sort bucket pass.
-    """
-    h, w = mat.shape
-    pbwt = np.empty((h, w), np.int64)
-    pa = np.empty((h, w), np.int64)
-    order = np.arange(1, h + 1, dtype=np.int64)
-    for j in range(w):
-        col = mat[order - 1, j]
-        pa[:, j] = order
-        pbwt[:, j] = col
-        if j + 1 < w:
-            order = order[np.argsort(col, kind="stable")]
-    return pbwt, pa
 
 
 def fore_column(sym, lo):

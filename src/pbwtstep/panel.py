@@ -1,101 +1,20 @@
-"""Haplotype panel representation and interval arithmetic.
+"""Haplotype panel representation and validation.
 
 Positions, row ids and column numbers are 1-based everywhere in the public
-model; intervals are closed on both ends.
+model. The index builders describe a partition of a column's positions
+``[1..n]`` into closed intervals by the sorted array of their starts.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 
 class PanelError(ValueError):
     """Raised when a panel violates its invariants."""
-
-
-class Interval(NamedTuple):
-    """Closed interval [b, e] of 1-based positions."""
-
-    b: int
-    e: int
-
-    def __len__(self) -> int:
-        return self.e - self.b + 1
-
-
-def intervals_overlap(a: Interval, b: Interval) -> bool:
-    """True iff the closed intervals share at least one position."""
-    return a.b <= b.e and b.b <= a.e
-
-
-class IntervalList:
-    """Ordered, contiguous intervals partitioning [1..n].
-
-    ``sources`` optionally records, per interval, the 1-based index of the
-    interval it was cut from in some coarser list (used by normalization
-    and the sub-run builders).
-    """
-
-    __slots__ = ("items", "n", "sources")
-
-    def __init__(self, items: Iterable[Interval | tuple[int, int]],
-                 sources: list[int] | None = None, validate: bool = True):
-        self.items: list[Interval] = [Interval(*iv) for iv in items]
-        if not self.items:
-            raise ValueError("empty interval list")
-        self.n: int = self.items[-1].e
-        self.sources = sources
-        if validate:
-            self._check_partition()
-        if sources is not None and len(sources) != len(self.items):
-            raise ValueError("sources length mismatch")
-
-    def _check_partition(self) -> None:
-        if self.items[0].b != 1:
-            raise ValueError(f"first interval starts at {self.items[0].b}, not 1")
-        prev_e = 0
-        for iv in self.items:
-            if iv.b != prev_e + 1:
-                raise ValueError(f"gap or overlap before {iv}")
-            if iv.e < iv.b:
-                raise ValueError(f"inverted interval {iv}")
-            prev_e = iv.e
-
-    def __len__(self) -> int:
-        return len(self.items)
-
-    def __iter__(self):
-        return iter(self.items)
-
-    def __getitem__(self, k: int) -> Interval:
-        return self.items[k]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, IntervalList) and self.items == other.items
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"[{iv.b},{iv.e}]" for iv in self.items)
-        return f"IntervalList({{{body}}})"
-
-    def starts(self) -> np.ndarray:
-        return np.fromiter((iv.b for iv in self.items), dtype=np.int64,
-                           count=len(self.items))
-
-    def index_of(self, pos: int) -> int:
-        """1-based index of the interval containing ``pos``."""
-        if not 1 <= pos <= self.n:
-            raise ValueError(f"position {pos} outside [1..{self.n}]")
-        lo, hi = 0, len(self.items) - 1
-        while lo < hi:
-            mid = (lo + hi + 1) // 2
-            if self.items[mid].b <= pos:
-                lo = mid
-            else:
-                hi = mid - 1
-        return lo + 1
 
 
 @dataclass
@@ -135,10 +54,6 @@ class Panel:
     def w(self) -> int:
         """Row length in fixed-length mode; max row length when ragged."""
         return max((len(r) for r in self.rows), default=0)
-
-    def matrix(self) -> np.ndarray:
-        """h×w array; fixed-length mode only."""
-        return np.vstack(self.rows) if self.h else np.empty((0, 0), np.int64)
 
     def row_tuples(self) -> list[tuple[int, ...]]:
         return [tuple(int(s) for s in r) for r in self.rows]

@@ -2,7 +2,8 @@
 
 Column j (1-based) of the prefix array lists row ids in stable co-lexicographic
 order of their (j-1)-prefixes; the PBWT column holds each ordered row's symbol
-at column j. Runs are the maximal equal-symbol blocks of a PBWT column.
+at column j. Runs are the maximal equal-symbol blocks of a PBWT column, kept
+as the ascending array of their 1-based starts.
 
 In ragged mode every row is extended with a terminator that sorts below all
 real symbols (stored internally as 0, real symbols shifted up by one), and
@@ -17,12 +18,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .panel import Interval, IntervalList, Panel, validate_panel
+from .panel import Panel, validate_panel
 
 
 @dataclass
 class PbwtColumns:
-    """Per-column PBWT symbols, prefix-array permutations and run intervals."""
+    """Per-column PBWT symbols, prefix-array permutations and run starts."""
 
     h: int
     w: int
@@ -30,10 +31,9 @@ class PbwtColumns:
     terminator: int | None          # 0 in ragged mode, None otherwise
     cols: list[np.ndarray]          # per column: symbols, length n_j
     pas: list[np.ndarray]           # per column: 1-based row ids, length n_j
-    runs: list[IntervalList]
+    runs: list[np.ndarray]          # per column: 1-based start of each run, ascending
     total_runs: int
     _fore: dict = field(default_factory=dict, repr=False)
-    _pos: dict = field(default_factory=dict, repr=False)
 
     def col_len(self, j: int) -> int:
         return len(self.cols[j - 1])
@@ -44,7 +44,7 @@ class PbwtColumns:
     def pa_col(self, j: int) -> np.ndarray:
         return self.pas[j - 1]
 
-    def runs_at(self, j: int) -> IntervalList:
+    def runs_at(self, j: int) -> np.ndarray:
         return self.runs[j - 1]
 
     def steppable_from(self) -> int:
@@ -57,24 +57,13 @@ class PbwtColumns:
             self._fore[j] = kernels.fore_column(self.cols[j - 1], self.steppable_from())
         return self._fore[j]
 
-    def row_pos(self, j: int) -> np.ndarray:
-        """row id -> 1-based position in column j's prefix array (0 = absent)."""
-        if j not in self._pos:
-            pos = np.zeros(self.h + 1, np.int64)
-            pa = self.pas[j - 1]
-            pos[pa] = np.arange(1, pa.size + 1, dtype=np.int64)
-            self._pos[j] = pos
-        return self._pos[j]
 
-
-def extract_runs(symbols) -> IntervalList:
-    """Maximal equal-symbol blocks of a column, as a partition of [1..n]."""
+def extract_runs(symbols) -> np.ndarray:
+    """1-based starts of the maximal equal-symbol blocks of a column."""
     sym = np.asarray(symbols, dtype=np.int64)
     if sym.size == 0:
         raise ValueError("empty column")
-    starts = kernels.run_starts(sym)
-    ends = np.append(starts[1:], sym.size)
-    return IntervalList([Interval(int(b) + 1, int(e)) for b, e in zip(starts, ends)])
+    return kernels.run_starts(sym) + 1
 
 
 def _internal_rows(p: Panel) -> list[np.ndarray]:
@@ -83,37 +72,39 @@ def _internal_rows(p: Panel) -> list[np.ndarray]:
     return [np.asarray(r, dtype=np.int64) for r in p.rows]
 
 
-def build_pbwt(p: Panel) -> PbwtColumns:
-    """Counting-sort construction, one stable bucket pass per column."""
-    validate_panel(p)
-    if not p.ragged:
-        mat = p.matrix()
-        pbwt, pa = kernels.pbwt_matrix(mat, p.sigma)
-        cols = [pbwt[:, j].copy() for j in range(mat.shape[1])]
-        pas = [pa[:, j].copy() for j in range(mat.shape[1])]
-        runs = [extract_runs(c) for c in cols]
-        return PbwtColumns(h=p.h, w=mat.shape[1], sigma=p.sigma, terminator=None,
-                           cols=cols, pas=pas, runs=runs,
-                           total_runs=sum(len(r) for r in runs))
+def _columns(p: Panel, cols: list[np.ndarray], pas: list[np.ndarray]) -> PbwtColumns:
+    runs = [extract_runs(c) for c in cols]
+    return PbwtColumns(h=p.h, w=len(cols), sigma=p.sigma + (1 if p.ragged else 0),
+                       terminator=0 if p.ragged else None, cols=cols, pas=pas, runs=runs,
+                       total_runs=sum(r.size for r in runs))
 
+
+def build_pbwt(p: Panel) -> PbwtColumns:
+    """Counting-sort construction, one stable bucket pass per column.
+
+    The internal rows sit in one zero-padded h×w matrix, so column j is a
+    gather along the current order. Rows whose symbol is below the steppable
+    range (a ragged row's terminator) drop out before the next column; the
+    stable argsort on an integer column is numpy's radix sort, i.e. one
+    counting-sort bucket pass.
+    """
+    validate_panel(p)
     rows = _internal_rows(p)
-    lens = np.array([r.size for r in rows], np.int64)
-    w = int(lens.max())
-    sigma = p.sigma + 1
+    w = max(r.size for r in rows)
+    mat = np.zeros((p.h, w), np.int64)
+    for k, r in enumerate(rows):
+        mat[k, :r.size] = r
+    lo = 1 if p.ragged else 0
     order = np.arange(1, p.h + 1, dtype=np.int64)
     cols, pas = [], []
-    for j in range(1, w + 1):
-        col = np.array([rows[rid - 1][j - 1] for rid in order], np.int64)
+    for j in range(w):
+        col = mat[order - 1, j]
         cols.append(col)
-        pas.append(order.copy())
-        if j < w:
-            alive = col != 0
-            surv, key = order[alive], col[alive]
-            order = surv[np.argsort(key, kind="stable")]
-    runs = [extract_runs(c) for c in cols]
-    return PbwtColumns(h=p.h, w=w, sigma=sigma, terminator=0,
-                       cols=cols, pas=pas, runs=runs,
-                       total_runs=sum(len(r) for r in runs))
+        pas.append(order)
+        if j + 1 < w:
+            keep = col >= lo
+            order = order[keep][np.argsort(col[keep], kind="stable")]
+    return _columns(p, cols, pas)
 
 
 def build_pbwt_reference(p: Panel) -> PbwtColumns:
@@ -124,7 +115,6 @@ def build_pbwt_reference(p: Panel) -> PbwtColumns:
     """
     validate_panel(p)
     rows = _internal_rows(p)
-    sigma = p.sigma + (1 if p.ragged else 0)
     w = max(r.size for r in rows)
     cols, pas = [], []
     for j in range(1, w + 1):
@@ -132,11 +122,7 @@ def build_pbwt_reference(p: Panel) -> PbwtColumns:
         alive.sort(key=lambda i: tuple(rows[i - 1][:j - 1][::-1]))
         pas.append(np.array(alive, np.int64))
         cols.append(np.array([rows[i - 1][j - 1] for i in alive], np.int64))
-    runs = [extract_runs(c) for c in cols]
-    return PbwtColumns(h=p.h, w=w, sigma=sigma,
-                       terminator=0 if p.ragged else None,
-                       cols=cols, pas=pas, runs=runs,
-                       total_runs=sum(len(r) for r in runs))
+    return _columns(p, cols, pas)
 
 
 def naive_fore(pc: PbwtColumns, i: int, j: int) -> int:

@@ -1,11 +1,13 @@
 """Randomized cross-validation of every query path against brute force.
 
 Each generated panel is built twice (counting pass vs comparison sort), its
-bounds are checked, all stepping chains are compared against prefix-array
-position lookups, prefix searches against a row scan, and extraction against
-the stored rows; a sample of panels additionally round-trips through the
-index file. Deterministic for a fixed seed. The checks raise
-``SelftestFailure`` explicitly, so they still run under ``python -O``.
+bounds are checked, its sub-run lists must stay below ``2*r_tilde`` and start
+a sub-run at every run start, all stepping chains are compared against
+prefix-array position lookups, prefix searches against a row scan, and
+extraction against the stored rows; a sample of panels additionally
+round-trips through the index file. Deterministic for a fixed seed. The
+checks raise ``SelftestFailure`` explicitly, so they still run under
+``python -O``.
 """
 
 from __future__ import annotations
@@ -109,6 +111,11 @@ def _check_panel(rng: np.random.Generator, p: Panel, do_io: bool):
     _check(sr.total_back() < 2 * pc.total_runs, "back sub-run bound violated")
     _check(sr.total_fore() < 2 * pc.total_runs, "fore sub-run bound violated")
     yield 2
+    for j in range(1, pc.w + 1):
+        runs = pc.runs_at(j)
+        _check(np.isin(runs, sr.back_lists[j - 1]).all() and
+               np.isin(runs, sr.fore_lists[j - 1]).all(), "a sub-run crosses a run boundary")
+        yield 1
     step = build_step_index(pc, sr)
     for i0 in range(1, pc.h + 1):
         i, x = i0, step.find_fore_subrun(1, i0)

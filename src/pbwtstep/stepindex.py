@@ -260,9 +260,8 @@ def build_step_index(pc: PbwtColumns, sr: SubRunLists) -> StepIndex:
     the lists' starts and the fore sub-runs' symbols are read; the rest is
     derived by ``assemble_step_index``.
     """
-    fore = [lst.starts() for lst in sr.fore_lists]
-    vals = [col[s - 1] for col, s in zip(pc.cols, fore)]
-    back = np.concatenate([lst.starts() for lst in sr.back_lists]) if sr.back_lists else None
+    vals = [col[s - 1] for col, s in zip(pc.cols, sr.fore_lists)]
+    back = np.concatenate(sr.back_lists) if sr.back_lists else None
     return assemble_step_index(pc.h, pc.w, pc.sigma, pc.terminator,
-                               [col.size for col in pc.cols], np.concatenate(fore),
+                               [col.size for col in pc.cols], np.concatenate(sr.fore_lists),
                                np.concatenate(vals), back)

@@ -1,124 +1,107 @@
 """Per-column sub-run partitions for constant-time stepping.
 
-Two families are built per column: one for backward steps (splitting each
-column's runs against the forward image of the previous column's list) and
-one for forward steps (splitting each column's forward image against the next
-column's list, then pulling the pieces back). Both stay below twice the total
-run count.
+A partition of column j's positions ``[1..n_j]`` is the ascending int64 array
+of its 1-based starts. Two families are built per column: one for backward
+steps (splitting each column's runs against the forward image of the
+previous column's list) and one for forward steps (splitting each column's
+forward run image against the next column's list, then pulling the pieces
+back). Both stay below twice the total run count, and every run start is a
+sub-run start, so no sub-run crosses a run boundary.
 
-In ragged mode, terminator sub-runs have no forward image; they are excluded
-from the interval maps and carried through the forward-stepping lists
-unchanged.
+In ragged mode, terminator sub-runs have no forward image; they are left out
+of the images and carried through the forward-stepping lists unchanged.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
-from .normalize import normalize
-from .panel import Interval, IntervalList
+import numpy as np
+
 from .pbwt import PbwtColumns
 
 
 @dataclass
 class SubRunLists:
-    """Sub-run partitions per column: back_lists[j-1] / fore_lists[j-1]."""
+    """Sub-run starts per column: back_lists[j-1] / fore_lists[j-1]."""
 
-    back_lists: list[IntervalList]
-    fore_lists: list[IntervalList]
+    back_lists: list[np.ndarray]
+    fore_lists: list[np.ndarray]
 
     def total_back(self) -> int:
-        return sum(len(lst) for lst in self.back_lists)
+        return sum(lst.size for lst in self.back_lists)
 
     def total_fore(self) -> int:
-        return sum(len(lst) for lst in self.fore_lists)
+        return sum(lst.size for lst in self.fore_lists)
 
 
-def live_subruns(pc: PbwtColumns, j: int, items) -> list[Interval]:
-    """Sub-runs of column j that have a forward image (all of them, unless a
-    terminator is present)."""
-    col, lo = pc.cols[j - 1], pc.steppable_from()
-    return [iv for iv in items if col[iv.b - 1] >= lo]
+def normalize(starts: np.ndarray, n: int, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split the parts of a partition of [1..n] so that each piece overlaps at
+    most three intervals of the partition ``ref``.
+
+    A part overlapping ref intervals qa..qb is cut at the ends of ref
+    intervals qa+2, qa+5, ..., so its pieces start at its own start and at
+    ``ref[qa+3]``, ``ref[qa+6]``, ...: ``(qb-qa)//3`` cuts, at most
+    floor(len(ref)/2) in all. Returns the piece starts and, per piece, the
+    0-based index of the part it came from.
+    """
+    starts = np.asarray(starts, dtype=np.int64)
+    ref = np.asarray(ref, dtype=np.int64)
+    ends = np.append(starts[1:] - 1, n)
+    qa = np.searchsorted(ref, starts, side="right") - 1
+    cuts = (np.searchsorted(ref, ends, side="right") - 1 - qa) // 3
+    src = np.repeat(np.arange(starts.size), cuts + 1)
+    first = np.cumsum(cuts + 1) - (cuts + 1)        # each part's first piece
+    t = np.arange(src.size) - first[src]            # piece number within its part
+    pieces = np.where(t == 0, starts[src], ref[qa[src] + 3 * t])
+    return pieces, src
 
 
-def _check_within_run(pc: PbwtColumns, j: int, iv: Interval) -> None:
-    run = pc.runs_at(j)
-    if run[run.index_of(iv.b) - 1].e < iv.e:
-        raise ValueError(f"interval {iv} spans a run boundary in column {j}")
+def fore_image(pc: PbwtColumns, j: int, starts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward image of column-j sub-runs that each lie inside one run.
 
-
-def fore_map(pc: PbwtColumns, j: int, items) -> IntervalList:
-    """Forward image of a list of column-j sub-runs, sorted by left endpoint.
-
-    Images within one symbol class are already in order, so the classes are
-    merged rather than sorted. ``sources`` maps each output interval to the
-    1-based index of its preimage in ``items``.
+    Returns the image starts in column j+1, ascending, and the starts of the
+    live sub-runs (those off the terminator) in the same order. The images
+    partition column j+1, because the forward map is a bijection from the
+    live rows that shifts each run's rows by one offset.
     """
     if not 1 <= j < pc.w:
-        raise ValueError(f"column {j} has no forward map")
-    col = pc.cols[j - 1]
-    fore = pc.fore_all(j)
-    lo = pc.steppable_from()
-    groups: dict[int, list[tuple[int, int, int]]] = {}
-    for idx, iv in enumerate(items, 1):
-        c = int(col[iv.b - 1])
-        if c < lo:
-            raise ValueError(f"interval {iv} lies on a terminator run in column {j}")
-        _check_within_run(pc, j, iv)
-        groups.setdefault(c, []).append((int(fore[iv.b - 1]), int(fore[iv.e - 1]), idx))
-    merged = list(heapq.merge(*groups.values()))
-    return IntervalList([Interval(b, e) for b, e, _ in merged],
-                        sources=[idx for _, _, idx in merged])
+        raise ValueError(f"column {j} has no forward image")
+    fore = pc.fore_all(j)[starts - 1]
+    live = fore > 0
+    fore, starts = fore[live], starts[live]
+    order = np.argsort(fore)
+    return fore[order], starts[order]
 
 
-def back_map(pc: PbwtColumns, j: int, items, validate: bool = True) -> IntervalList:
-    """Backward image of column-j sub-runs, sorted by left endpoint."""
-    if not 1 < j <= pc.w:
-        raise ValueError(f"column {j} has no backward map")
-    pa = pc.pas[j - 1]
-    pos = pc.row_pos(j - 1)
-    imgs = []
-    for idx, iv in enumerate(items, 1):
-        bb = int(pos[pa[iv.b - 1]])
-        ee = int(pos[pa[iv.e - 1]])
-        if bb == 0 or ee == 0 or ee - bb != iv.e - iv.b:
-            raise ValueError(f"interval {iv} is not a contiguous preimage at column {j - 1}")
-        imgs.append((bb, ee, idx))
-    imgs.sort()
-    return IntervalList([Interval(b, e) for b, e, _ in imgs],
-                        sources=[idx for _, _, idx in imgs], validate=validate)
-
-
-def build_back_subruns(pc: PbwtColumns) -> list[IntervalList]:
+def build_back_subruns(pc: PbwtColumns) -> list[np.ndarray]:
     """Backward-stepping sub-runs: column 1 keeps its runs; afterwards each
     column's runs are normalized against the forward image of the previous
     list."""
     lists = [pc.runs_at(1)]
     for j in range(2, pc.w + 1):
-        live = live_subruns(pc, j - 1, lists[-1])
-        image = fore_map(pc, j - 1, live)
-        lists.append(normalize(pc.runs_at(j), image))
+        image, _ = fore_image(pc, j - 1, lists[-1])
+        lists.append(normalize(pc.runs_at(j), pc.col_len(j), image)[0])
     return lists
 
 
-def build_fore_subruns(pc: PbwtColumns) -> list[IntervalList]:
+def build_fore_subruns(pc: PbwtColumns) -> list[np.ndarray]:
     """Forward-stepping sub-runs: the last column keeps its runs; walking
     left, each column's forward run image is normalized against the next
-    list and the pieces pulled back (terminator runs pass through)."""
+    list and the pieces pulled back (terminator runs pass through).
+
+    Within a run the forward map is a shift, so a piece starting at p inside
+    the image of run r pulls back to ``run_start[r] + p - image_start[r]``.
+    """
     w = pc.w
-    lists: list[IntervalList | None] = [None] * w
-    lists[w - 1] = pc.runs_at(w)
+    lists: list[np.ndarray] = [pc.runs_at(w)] * w
     for j in range(w - 1, 0, -1):
-        live = live_subruns(pc, j, pc.runs_at(j))
-        image = fore_map(pc, j, live)
-        refined = normalize(image, lists[j])
-        pulled = back_map(pc, j + 1, refined.items, validate=False)
-        dead = [iv for iv in pc.runs_at(j)
-                if pc.cols[j - 1][iv.b - 1] < pc.steppable_from()]
-        items = sorted(pulled.items + dead)
-        lists[j - 1] = IntervalList(items)
-    return lists  # type: ignore[return-value]
+        runs = pc.runs_at(j)
+        image, live = fore_image(pc, j, runs)
+        pieces, src = normalize(image, pc.col_len(j + 1), lists[j])
+        dead = runs[pc.cols[j - 1][runs - 1] < pc.steppable_from()]
+        lists[j - 1] = np.sort(np.concatenate((live[src] + pieces - image[src], dead)))
+    return lists
 
 
 def build_subruns(pc: PbwtColumns) -> SubRunLists:

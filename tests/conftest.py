@@ -9,17 +9,22 @@ import numpy as np
 import pytest
 
 from pbwtstep.io import build_index
-from pbwtstep.panel import Interval, IntervalList, Panel
+from pbwtstep.panel import Panel
 
 
 def rand_partition(rng, n, max_parts=None):
-    """Random partition of [1..n] into closed intervals."""
+    """Random partition of [1..n] into closed (b, e) intervals."""
     if n == 1:
-        return IntervalList([(1, 1)])
+        return [(1, 1)]
     k = rng.integers(0, n) if max_parts is None else rng.integers(0, max_parts)
     cuts = sorted(set(rng.integers(1, n, size=int(k)).tolist()))
     bounds = [0] + cuts + [n]
-    return IntervalList([(a + 1, b) for a, b in zip(bounds, bounds[1:])])
+    return [(a + 1, b) for a, b in zip(bounds, bounds[1:])]
+
+
+def starts_of(intervals):
+    """The start array the library uses for a partition given as (b, e) tuples."""
+    return np.array([b for b, _ in intervals], np.int64)
 
 
 def rand_panel(rng, h_max=16, w_max=12, sigma_max=4, ragged=False):
@@ -66,16 +71,6 @@ def pos_lookup_fore(pc):
     return tables
 
 
-def fore_map_by_sorting(pc, j, items):
-    """fore_map by comparison sort of the images' end points instead of a
-    merge of the symbol classes; ``sources`` as in fore_map."""
-    fore = pc.fore_all(j)
-    imgs = sorted((int(fore[iv.b - 1]), int(fore[iv.e - 1]), idx)
-                  for idx, iv in enumerate(items, 1))
-    return IntervalList([Interval(b, e) for b, e, _ in imgs],
-                        sources=[idx for _, _, idx in imgs])
-
-
 def pos_lookup_back(pc):
     tables = [None]
     for j in range(2, pc.w + 1):
@@ -103,24 +98,24 @@ def scan_prefix(p: Panel, pattern):
 
 
 def brute_overlaps(iv, items):
-    """0-based indices of intervals intersecting iv, by linear scan."""
-    return [k for k, q in enumerate(items) if q.b <= iv.e and iv.b <= q.e]
+    """0-based indices of (b, e) intervals intersecting iv, by linear scan."""
+    return [k for k, q in enumerate(items) if q[0] <= iv[1] and iv[0] <= q[1]]
 
 
 def brute_normalize(parts, ref):
-    """O(n^2) splitter: cut after every third overlapped ref interval."""
+    """O(n^2) splitter over (b, e) tuples: cut after every third overlapped
+    ref interval."""
     if len(ref) <= 3:
-        return list(parts.items)
+        return list(parts)
     out = []
-    for iv in parts.items:
-        b, e = iv.b, iv.e
+    for b, e in parts:
         while True:
-            ovl = brute_overlaps(Interval(b, e), ref.items)
+            ovl = brute_overlaps((b, e), ref)
             if len(ovl) <= 3:
-                out.append(Interval(b, e))
+                out.append((b, e))
                 break
-            d = ref.items[ovl[2]].e
-            out.append(Interval(b, d))
+            d = ref[ovl[2]][1]
+            out.append((b, d))
             b = d + 1
     return out
 

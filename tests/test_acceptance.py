@@ -11,14 +11,13 @@ import pytest
 
 from pbwtstep.bounds import check_bounds
 from pbwtstep.io import build_index, load_index, save_index
-from pbwtstep.normalize import normalize
 from pbwtstep.panel import Panel
 from pbwtstep.pbwt import build_pbwt, build_pbwt_reference
 from pbwtstep.stepindex import build_step_index
-from pbwtstep.subruns import build_subruns
+from pbwtstep.subruns import build_subruns, normalize
 
 from conftest import (pattern_battery, pos_lookup_back, pos_lookup_fore, prefix_index,
-                      rand_panel, rand_partition, retrieval_index, scan_prefix)
+                      rand_panel, rand_partition, retrieval_index, scan_prefix, starts_of)
 import test_golden_fixtures as golden
 
 
@@ -39,15 +38,17 @@ def corpus():
     return out
 
 
-def _overlap_counts(out_items, ref_items):
-    """Per out-interval overlap count against ref, one linear co-walk."""
+def _overlap_counts(pieces, ref_items):
+    """Per piece, the ref intervals it meets: one linear co-walk over the
+    pieces' starts and the ref's (b, e) tuples."""
     counts = []
     k = 0
-    for iv in out_items:
-        while ref_items[k].e < iv.b:
+    ends = pieces[1:].tolist() + [ref_items[-1][1] + 1]
+    for b, nxt in zip(pieces.tolist(), ends):
+        while ref_items[k][1] < b:
             k += 1
         kk = k
-        while ref_items[kk].e < iv.e:
+        while ref_items[kk][1] < nxt - 1:
             kk += 1
         counts.append(kk - k + 1)
         k = kk
@@ -61,10 +62,10 @@ def test_c01_normalization_bound():
     for _ in range(10000):
         n = int(rng.integers(1, 201))
         parts, ref = rand_partition(rng, n), rand_partition(rng, n)
-        out = normalize(parts, ref)
-        assert max(_overlap_counts(out.items, ref.items)) <= 3
-        assert len(out) <= len(parts) + len(ref) // 2
-        worst_splits = max(worst_splits, len(out) - len(parts))
+        pieces, _ = normalize(starts_of(parts), n, starts_of(ref))
+        assert max(_overlap_counts(pieces, ref)) <= 3
+        assert pieces.size <= len(parts) + len(ref) // 2
+        worst_splits = max(worst_splits, pieces.size - len(parts))
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"normalization suite took {elapsed:.2f}s"
     _report(1, f"normalization bound (10000 pairs, max splits {worst_splits}, "
@@ -184,8 +185,8 @@ def test_c09_ragged_mode():
         for j in range(1, pc.w + 1):
             assert np.array_equal(pc.pbwt_col(j), ref.pbwt_col(j))
             assert np.array_equal(pc.pa_col(j), ref.pa_col(j))
-        no_term = sum(1 for j in range(1, pc.w + 1) for iv in pc.runs_at(j)
-                      if int(pc.pbwt_col(j)[iv.b - 1]) != 0)
+        no_term = sum(int(np.count_nonzero(pc.pbwt_col(j)[pc.runs_at(j) - 1] != 0))
+                      for j in range(1, pc.w + 1))
         assert pc.total_runs <= no_term + p.h
         ix = prefix_index(p)
         for pat in pattern_battery(rng, p, count=5):

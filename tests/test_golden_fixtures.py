@@ -1,12 +1,14 @@
 """Frozen end-to-end fixtures: two 16-row panels whose PBWT columns realize
 known interval layouts, checked through the real build path."""
 
-from pbwtstep.normalize import normalize
-from pbwtstep.panel import Interval, IntervalList, Panel
+import numpy as np
+
+from pbwtstep.panel import Panel
 from pbwtstep.pbwt import build_pbwt
 from pbwtstep.stepindex import build_step_index
-from pbwtstep.subruns import SubRunLists, back_map, build_fore_subruns, fore_map
+from pbwtstep.subruns import SubRunLists, build_fore_subruns, fore_image, normalize
 
+# Partitions of [1..16] are written as their starts.
 # Panel A: column 1 carries runs {[1,2],[3,3],[4,8],[9,11],[12,13],[14,14],[15,16]},
 # column 2 carries runs {[1,1],[2,11],[12,16]}; the forward map sends the nine
 # sub-runs below onto the reference layout used by the backward tables.
@@ -15,11 +17,9 @@ PANEL_A = Panel.from_rows(
      (3, 0), (3, 1), (3, 1), (1, 0), (1, 0), (2, 0), (4, 1), (4, 1)],
     sigma=5)
 
-BACK_PREV = IntervalList([(1, 2), (3, 3), (4, 5), (6, 6), (7, 8),
-                          (9, 11), (12, 13), (14, 14), (15, 16)])
-REF_LAYOUT = IntervalList([(1, 2), (3, 3), (4, 5), (6, 7), (8, 9), (10, 10),
-                           (11, 13), (14, 14), (15, 16)])
-BACK_CUR = IntervalList([(1, 1), (2, 5), (6, 10), (11, 11), (12, 16)])
+BACK_PREV = np.array([1, 3, 4, 6, 7, 9, 12, 14, 15])
+REF_LAYOUT = [1, 3, 4, 6, 8, 10, 11, 14, 15]
+BACK_CUR = np.array([1, 2, 6, 11, 12])
 
 # Panel B: column 1 carries runs {[1,5],[6,6],[7,16]} whose forward image is
 # {[1,1],[2,11],[12,16]}; column 2 carries the nine-run reference layout.
@@ -28,29 +28,32 @@ PANEL_B = Panel.from_rows(
      (1, 0), (1, 0), (1, 1), (1, 1), (1, 0), (1, 0), (1, 1), (1, 0)],
     sigma=3)
 
-FORE_CUR = IntervalList([(1, 5), (6, 6), (7, 10), (11, 15), (16, 16)])
+FORE_CUR = [1, 6, 7, 11, 16]
 
 
 def test_panel_a_run_layout():
     pc = build_pbwt(PANEL_A)
-    assert pc.runs_at(1) == IntervalList([(1, 2), (3, 3), (4, 8), (9, 11),
-                                          (12, 13), (14, 14), (15, 16)])
-    assert pc.runs_at(2) == IntervalList([(1, 1), (2, 11), (12, 16)])
+    assert pc.runs_at(1).tolist() == [1, 3, 4, 9, 12, 14, 15]
+    assert pc.runs_at(2).tolist() == [1, 2, 12]
 
 
 def test_fore_map_reference_layout():
     pc = build_pbwt(PANEL_A)
-    assert fore_map(pc, 1, BACK_PREV.items) == REF_LAYOUT
+    image, live = fore_image(pc, 1, BACK_PREV)
+    assert image.tolist() == REF_LAYOUT
+    assert live.tolist() == [4, 6, 7, 1, 12, 14, 9, 3, 15]
 
 
 def test_normalization_example():
-    parts = IntervalList([(1, 1), (2, 11), (12, 16)])
-    assert normalize(parts, REF_LAYOUT) == BACK_CUR
+    pieces, src = normalize(np.array([1, 2, 12]), 16, np.array(REF_LAYOUT))
+    assert pieces.tolist() == BACK_CUR.tolist()
+    assert src.tolist() == [0, 1, 1, 1, 2]
 
 
 def test_back_subrun_refinement():
     pc = build_pbwt(PANEL_A)
-    assert normalize(pc.runs_at(2), fore_map(pc, 1, BACK_PREV.items)) == BACK_CUR
+    image, _ = fore_image(pc, 1, BACK_PREV)
+    assert normalize(pc.runs_at(2), 16, image)[0].tolist() == BACK_CUR.tolist()
 
 
 def test_back_quadruples_and_step():
@@ -69,19 +72,13 @@ def test_back_quadruples_and_step():
 
 def test_panel_b_fore_subruns():
     pc = build_pbwt(PANEL_B)
-    assert pc.runs_at(1) == IntervalList([(1, 5), (6, 6), (7, 16)])
-    assert pc.runs_at(2) == REF_LAYOUT
-    assert fore_map(pc, 1, pc.runs_at(1).items) == IntervalList(
-        [(1, 1), (2, 11), (12, 16)])
+    assert pc.runs_at(1).tolist() == [1, 6, 7]
+    assert pc.runs_at(2).tolist() == REF_LAYOUT
+    image, live = fore_image(pc, 1, pc.runs_at(1))
+    assert image.tolist() == [1, 2, 12] and live.tolist() == [6, 7, 1]
     lists = build_fore_subruns(pc)
-    assert lists[1] == REF_LAYOUT
-    assert lists[0] == FORE_CUR
-
-
-def test_back_map_example():
-    pc = build_pbwt(PANEL_B)
-    refined = IntervalList([(1, 1), (2, 5), (6, 10), (11, 11), (12, 16)])
-    assert back_map(pc, 2, refined.items) == FORE_CUR
+    assert lists[1].tolist() == REF_LAYOUT
+    assert lists[0].tolist() == FORE_CUR
 
 
 def test_fore_quintuples_and_step():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import os
 import re
 import struct
@@ -15,6 +16,7 @@ from pbwtstep.io import (IndexFormatError, MAGIC, build_index, load_index,
 from pbwtstep.panel import Panel, PanelError
 
 from conftest import pattern_battery, rand_panel
+from test_golden_fixtures import PANEL_A, PANEL_B
 
 
 def test_parse_digit_matrix():
@@ -85,6 +87,25 @@ def test_save_is_deterministic(rng, tmp_path):
     save_index(str(a), build_index(p, sorted_rows=True))
     save_index(str(b), build_index(p, sorted_rows=True))
     assert a.read_bytes() == b.read_bytes()
+
+
+RAGGED = Panel.from_rows([[0, 1, 2], [1], [], [2, 2, 0, 1], [0, 1], [0, 1, 2]], sigma=3,
+                         ragged=True)
+GOLDEN_DIGESTS = [
+    (PANEL_A, {}, "c6ed5b0a0129545b5600005d6009e6c5cab7ff03d75224985cb6deda92ae0dc8"),
+    (PANEL_B, {"sorted_rows": True},
+     "8403205bee093c8aa0c8b5193a7b57ba51b7957d836fdad84dc6dcb7d7410076"),
+    (RAGGED, {"sorted_rows": True, "fore_only": True},
+     "2e5b1785d8fdd1728284f5548c8ff6efc324381c13a2f9de2876d245dd78d80c"),
+]
+
+
+def test_saved_index_bytes_frozen(tmp_path):
+    # index files are a format: a build change must not move a single byte
+    for k, (p, opts, want) in enumerate(GOLDEN_DIGESTS):
+        path = tmp_path / f"ix{k}.bin"
+        save_index(str(path), build_index(p, **opts))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want, k
 
 
 def test_truncated_file_rejected(rng, tmp_path):

@@ -1,70 +1,58 @@
-import pytest
+import numpy as np
 
-from pbwtstep.normalize import normalize, overlap_count
-from pbwtstep.panel import Interval, IntervalList
+from pbwtstep.subruns import normalize
 
-from conftest import brute_normalize, brute_overlaps, rand_partition
+from conftest import brute_normalize, brute_overlaps, rand_partition, starts_of
 
-PARTS = IntervalList([(1, 1), (2, 11), (12, 16)])
-REF = IntervalList([(1, 2), (3, 3), (4, 5), (6, 7), (8, 9), (10, 10),
-                    (11, 13), (14, 14), (15, 16)])
+PARTS = np.array([1, 2, 12])
+REF = np.array([1, 3, 4, 6, 8, 10, 11, 14, 15])
 
 
 def test_worked_example():
-    out = normalize(PARTS, REF)
-    assert out == IntervalList([(1, 1), (2, 5), (6, 10), (11, 11), (12, 16)])
-    assert out.sources == [1, 2, 2, 2, 3]
+    pieces, src = normalize(PARTS, 16, REF)
+    assert pieces.tolist() == [1, 2, 6, 11, 12]
+    assert src.tolist() == [0, 1, 1, 1, 2]
 
 
 def test_small_ref_is_copy():
-    one = IntervalList([(1, 9)])
-    assert normalize(one, one) == one
-    parts = IntervalList([(1, 4), (5, 9)])
-    ref3 = IntervalList([(1, 1), (2, 2), (3, 9)])
-    assert normalize(parts, ref3) == parts
-
-
-def test_overlap_count_examples():
-    # [2,11] intersects [1,2],[3,3],[4,5],[6,7],[8,9],[10,10],[11,13]
-    assert overlap_count(Interval(2, 11), REF) == 7
-    assert overlap_count(Interval(2, 11), REF) == len(brute_overlaps(Interval(2, 11), REF.items))
-    assert overlap_count(Interval(1, 1), REF) == 1
-    assert overlap_count(Interval(12, 16), REF) == 3
-
-
-def test_mismatched_ranges():
-    with pytest.raises(ValueError, match="mismatched"):
-        normalize(IntervalList([(1, 5)]), IntervalList([(1, 6)]))
+    one = np.array([1])
+    pieces, src = normalize(one, 9, one)
+    assert pieces.tolist() == [1] and src.tolist() == [0]
+    parts = np.array([1, 5])
+    pieces, src = normalize(parts, 9, np.array([1, 2, 3]))
+    assert pieces.tolist() == [1, 5] and src.tolist() == [0, 1]
 
 
 def test_matches_brute_force(rng):
     for _ in range(400):
         n = int(rng.integers(1, 51))
         parts, ref = rand_partition(rng, n), rand_partition(rng, n)
-        out = normalize(parts, ref)
-        assert out.items == brute_normalize(parts, ref)
+        pieces, _ = normalize(starts_of(parts), n, starts_of(ref))
+        assert pieces.tolist() == starts_of(brute_normalize(parts, ref)).tolist()
 
 
 def test_properties(rng):
     for _ in range(300):
         n = int(rng.integers(1, 120))
         parts, ref = rand_partition(rng, n), rand_partition(rng, n)
-        out = normalize(parts, ref)
-        out._check_partition()
+        pieces, src = normalize(starts_of(parts), n, starts_of(ref))
+        # a partition of [1..n]
+        assert pieces[0] == 1 and (np.diff(pieces) > 0).all() and pieces[-1] <= n
+        ends = np.append(pieces[1:] - 1, n).tolist()
+        out = list(zip(pieces.tolist(), ends))
         # three-overlap constraint
-        assert all(overlap_count(iv, ref) <= 3 for iv in out.items)
-        assert all(len(brute_overlaps(iv, ref.items)) <= 3 for iv in out.items)
+        assert all(len(brute_overlaps(iv, ref)) <= 3 for iv in out)
         # split bound
         assert len(out) <= len(parts) + len(ref) // 2
         # refinement: merging pieces by source reproduces the input
         merged = {}
-        for iv, src in zip(out.items, out.sources):
-            b, e = merged.get(src, (iv.b, iv.e))
-            merged[src] = (min(b, iv.b), max(e, iv.e))
-        assert [Interval(*merged[s]) for s in sorted(merged)] == parts.items
+        for (b, e), s in zip(out, src.tolist()):
+            lo, hi = merged.get(s, (b, e))
+            merged[s] = (min(lo, b), max(hi, e))
+        assert [merged[s] for s in sorted(merged)] == parts
         # every introduced cut lands on a ref right endpoint
-        ref_ends = {iv.e for iv in ref.items}
-        part_ends = {iv.e for iv in parts.items}
-        for iv in out.items:
-            if iv.e not in part_ends:
-                assert iv.e in ref_ends
+        ref_ends = {e for _, e in ref}
+        part_ends = {e for _, e in parts}
+        for _, e in out:
+            if e not in part_ends:
+                assert e in ref_ends

@@ -1,25 +1,6 @@
 import pytest
 
-from pbwtstep.panel import (Interval, IntervalList, Panel, PanelError,
-                            intervals_overlap, validate_panel)
-
-from conftest import rand_partition
-
-
-def test_overlap_examples():
-    assert intervals_overlap(Interval(2, 5), Interval(4, 9))
-    assert not intervals_overlap(Interval(1, 1), Interval(2, 11))
-    assert intervals_overlap(Interval(6, 10), Interval(10, 10))
-
-
-def test_overlap_symmetric(rng):
-    for _ in range(200):
-        a = sorted(rng.integers(1, 30, size=2).tolist())
-        b = sorted(rng.integers(1, 30, size=2).tolist())
-        ia, ib = Interval(*a), Interval(*b)
-        want = len(set(range(a[0], a[1] + 1)) & set(range(b[0], b[1] + 1))) > 0
-        assert intervals_overlap(ia, ib) == want
-        assert intervals_overlap(ib, ia) == want
+from pbwtstep.panel import Panel, PanelError, validate_panel
 
 
 def test_validate_ok():
@@ -51,25 +32,3 @@ def test_declared_sigma_kept():
     p = Panel.from_rows([[0, 1]], sigma=4)
     rep = validate_panel(p)
     assert rep.sigma == 4 and not rep.sigma_inferred
-
-
-def test_interval_list_partition_invariants(rng):
-    for _ in range(100):
-        n = int(rng.integers(1, 60))
-        lst = rand_partition(rng, n)
-        assert lst.items[0].b == 1 and lst.items[-1].e == n
-        assert sum(len(iv) for iv in lst.items) == n
-        for a, b in zip(lst.items, lst.items[1:]):
-            assert a.e + 1 == b.b
-        for pos in range(1, n + 1):
-            iv = lst[lst.index_of(pos) - 1]
-            assert iv.b <= pos <= iv.e
-
-
-def test_interval_list_rejects_gaps():
-    with pytest.raises(ValueError):
-        IntervalList([(1, 2), (4, 5)])
-    with pytest.raises(ValueError):
-        IntervalList([(2, 5)])
-    with pytest.raises(ValueError):
-        IntervalList([(1, 2), (3, 2)])

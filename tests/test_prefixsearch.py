@@ -171,6 +171,6 @@ def test_terminator_run_accounting(rng):
     for _ in range(50):
         p = rand_panel(rng, ragged=True)
         pc = build_pbwt(p)
-        no_term = sum(1 for j in range(1, pc.w + 1) for iv in pc.runs_at(j)
-                      if int(pc.pbwt_col(j)[iv.b - 1]) != 0)
+        no_term = sum(int(np.count_nonzero(pc.pbwt_col(j)[pc.runs_at(j) - 1] != 0))
+                      for j in range(1, pc.w + 1))
         assert pc.total_runs <= no_term + p.h

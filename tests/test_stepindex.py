@@ -77,12 +77,12 @@ def test_tuple_lists_capped_and_tiling(rng):
                 assert ((nq >= 1) & (nq <= 3)).all()
             for j in range(1, pc.w):
                 fc = st.fore_cols[j - 1]
-                for t, iv in enumerate(sr.fore_lists[j - 1].items):
+                for t, b in enumerate(sr.fore_lists[j - 1].tolist()):
                     if st.terminator is not None and fc.vals[t] == st.terminator:
                         assert fc.nquints[t] == 0
                         continue
                     assert 1 <= fc.nquints[t] <= 3
-                    assert fc.image_b[t] == naive_fore(pc, iv.b, j)
+                    assert fc.image_b[t] == naive_fore(pc, b, j)
                     assert fc.first_lam[t] == st.find_fore_subrun(j + 1, int(fc.image_b[t]))
 
 
@@ -93,11 +93,12 @@ def test_symbol_access(rng):
             pc, sr, st = build_all(p)
             for j in range(1, pc.w + 1):
                 col = pc.pbwt_col(j)
-                for t, iv in enumerate(sr.back_lists[j - 1].items, 1):
-                    assert st.symbol_at_back(j, t) == int(col[iv.b - 1])
-                for t, iv in enumerate(sr.fore_lists[j - 1].items, 1):
-                    assert st.symbol_at_fore(j, t) == int(col[iv.b - 1])
-                    for i in range(iv.b, iv.e + 1):
+                for t, b in enumerate(sr.back_lists[j - 1].tolist(), 1):
+                    assert st.symbol_at_back(j, t) == int(col[b - 1])
+                starts = sr.fore_lists[j - 1].tolist()
+                for t, (b, nxt) in enumerate(zip(starts, starts[1:] + [col.size + 1]), 1):
+                    assert st.symbol_at_fore(j, t) == int(col[b - 1])
+                    for i in range(b, nxt):
                         assert int(col[i - 1]) == st.symbol_at_fore(j, t)
 
 
