@@ -4,7 +4,7 @@ known interval layouts, checked through the real build path."""
 import numpy as np
 
 from pbwtstep.panel import Panel
-from pbwtstep.pbwt import build_pbwt
+from pbwtstep.pbwt import build_pbwt, naive_back
 from pbwtstep.stepindex import build_step_index
 from pbwtstep.subruns import SubRunLists, build_fore_subruns, fore_image, normalize
 
@@ -79,6 +79,18 @@ def test_panel_b_fore_subruns():
     lists = build_fore_subruns(pc)
     assert lists[1].tolist() == REF_LAYOUT
     assert lists[0].tolist() == FORE_CUR
+
+
+def test_back_map_example():
+    # the run image of column 1, normalized against the reference layout,
+    # pulls back by the per-run shift onto FORE_CUR
+    pc = build_pbwt(PANEL_B)
+    image, live = fore_image(pc, 1, pc.runs_at(1))
+    pieces, src = normalize(image, 16, np.array(REF_LAYOUT))
+    assert pieces.tolist() == [1, 2, 6, 11, 12]
+    back = live[src] + pieces - image[src]
+    assert back.tolist() == [naive_back(pc, int(b), 2) for b in pieces]
+    assert sorted(back.tolist()) == FORE_CUR
 
 
 def test_fore_quintuples_and_step():

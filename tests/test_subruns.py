@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pbwtstep.panel import Panel
-from pbwtstep.pbwt import build_pbwt, naive_fore
+from pbwtstep.pbwt import build_pbwt, naive_back, naive_fore
 from pbwtstep.subruns import (build_back_subruns, build_fore_subruns, build_subruns,
                               fore_image, normalize)
 
@@ -56,6 +56,26 @@ def test_fore_pullback_lands_on_pieces(rng):
                 for s in lists[j - 1].tolist():
                     if col[s - 1] >= pc.steppable_from():
                         assert naive_fore(pc, s, j) in pieces
+
+
+def test_back_map_inverts_fore_map(rng):
+    # within a run the forward map is a shift, so position p of column j+1
+    # pulls back to live[r] + p - image[r] for the run image r that holds it,
+    # and the pulled-back pieces are the next fore list's column-j starts
+    for ragged in (False, True):
+        for _ in range(40):
+            p = rand_panel(rng, ragged=ragged)
+            pc = build_pbwt(p)
+            lists = build_fore_subruns(pc)
+            for j in range(1, pc.w):
+                image, live = fore_image(pc, j, pc.runs_at(j))
+                pos = np.arange(1, pc.col_len(j + 1) + 1)
+                r = np.searchsorted(image, pos, side="right") - 1
+                back = live[r] + pos - image[r]
+                assert back.tolist() == [naive_back(pc, i, j + 1) for i in pos.tolist()]
+                pieces, src = normalize(image, pc.col_len(j + 1), lists[j])
+                pulled = live[src] + pieces - image[src]
+                assert np.isin(pulled, lists[j - 1]).all()
 
 
 def test_build_back_subruns_bases_and_bounds(rng):
