@@ -14,6 +14,7 @@ import numpy as np
 
 from .panel import Panel, validate_panel
 from .pbwt import PbwtColumns, build_pbwt
+from .prefixsearch import _lex_order
 
 
 def adjacent_distinct_pairs(p: Panel) -> int:
@@ -69,8 +70,8 @@ def check_bounds(p: Panel, pc: PbwtColumns | None = None) -> BoundsReport:
     if pc is None:
         pc = build_pbwt(p)
     h_pp = adjacent_distinct_pairs(p)
-    rows_sorted = sorted(p.row_tuples())
-    h_pp_sorted = sum(1 for a, b in zip(rows_sorted, rows_sorted[1:]) if a != b)
+    rows_sorted = np.vstack(p.rows)[_lex_order(p) - 1]
+    h_pp_sorted = int(np.count_nonzero((rows_sorted[1:] != rows_sorted[:-1]).any(axis=1)))
     distinct = len(set(p.row_tuples()))
     r_per_col = [len(pc.runs_at(j)) for j in range(1, pc.w + 1)]
     ell_per_col = [len(canonical_intervals(pc, p, j)) for j in range(1, pc.w + 1)]

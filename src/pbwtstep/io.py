@@ -1,8 +1,8 @@
 """Panel file ingestion and binary index serialization.
 
-Panel files are either a digit matrix (one row per line, single characters,
-alphabet up to 10) or token lines (whitespace-separated integers). An optional
-header line ``#sigma=<n>`` declares the alphabet size, overriding inference.
+Panel files are either a digit matrix (one row per line, one ASCII ``0``-``9``
+per symbol) or token lines (whitespace-separated integers). An optional header
+line ``#sigma=<n>`` declares the alphabet size, overriding inference.
 
 Index files (format version 2; version 1 is rejected) are little-endian: an
 eight-byte magic, the version, flag bits, a CRC-32 of the payload and its
@@ -67,16 +67,16 @@ def parse_panel_text(text: str, fmt: str = "auto", ragged: bool = False) -> tupl
         raise PanelError("empty panel file")
     if fmt == "auto":
         fmt = "tokens" if any(ch.isspace() for ch in data_lines[0]) else "digits"
-    rows = []
-    for idx, s in enumerate(data_lines, 1):
-        try:
-            if fmt == "digits":
-                rows.append([int(ch) for ch in s])
-            else:
+    if fmt == "digits":
+        p = Panel.from_strings(data_lines, sigma=header_sigma, ragged=ragged)
+    else:
+        rows = []
+        for idx, s in enumerate(data_lines, 1):
+            try:
                 rows.append([int(tok) for tok in s.split()])
-        except ValueError as exc:
-            raise PanelError(f"malformed line {idx}: {s!r}") from exc
-    p = Panel.from_rows(rows, sigma=header_sigma, ragged=ragged)
+            except ValueError as exc:
+                raise PanelError(f"malformed line {idx}: {s!r}") from exc
+        p = Panel.from_rows(rows, sigma=header_sigma, ragged=ragged)
     validate_panel(p)
     return p, fmt
 

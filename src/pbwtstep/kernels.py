@@ -3,7 +3,8 @@
 All kernels speak the internal convention: symbols are ints in [0, sigma);
 ``lo`` is the smallest steppable symbol (1 when symbol 0 is a terminator that
 drops out of the next column, else 0). ``fore_column`` returns 1-based
-positions, ``run_starts`` 0-based indices.
+positions in the smallest unsigned dtype that holds the column length,
+``run_starts`` 0-based int64 indices.
 """
 
 import numpy as np
@@ -18,9 +19,9 @@ def fore_column(sym, lo):
     with c = sym[i], which is i's place in a stable sort of the column less
     the positions below lo; positions with sym[i] < lo have no target.
     """
-    out = np.empty(sym.size, np.int64)
-    out[np.argsort(sym, kind="stable")] = np.arange(1, sym.size + 1) - np.count_nonzero(sym < lo)
-    out[sym < lo] = 0
+    out = np.zeros(sym.size, np.min_scalar_type(sym.size))
+    live = np.argsort(sym, kind="stable")[np.count_nonzero(sym < lo):]
+    out[live] = np.arange(1, live.size + 1)
     return out
 
 

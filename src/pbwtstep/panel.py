@@ -44,7 +44,19 @@ class Panel:
     @classmethod
     def from_strings(cls, rows: Sequence[str], sigma: int | None = None,
                      ragged: bool = False) -> "Panel":
-        return cls.from_rows([[int(c) for c in r] for r in rows], sigma, ragged)
+        """Panel from ASCII digit strings in one uint8 buffer; a non-digit raises PanelError."""
+        lens = np.fromiter(map(len, rows), np.int64, len(rows))
+        ends = np.cumsum(lens)
+        # "replace" keeps one byte per character, so offsets map back to rows
+        digits = np.frombuffer("".join(rows).encode("ascii", "replace"), np.uint8) - ord("0")
+        bad = np.flatnonzero(digits > 9)
+        if bad.size:
+            k = int(np.searchsorted(ends, bad[0], side="right"))
+            raise PanelError(f"malformed line {k + 1}: {rows[k]!r}")
+        arrs = [digits[b:e] for b, e in zip((ends - lens).tolist(), ends.tolist())]
+        inferred = sigma is None
+        sigma = int(digits.max(initial=0)) + 1 if inferred else int(sigma)
+        return cls(rows=arrs, sigma=sigma, ragged=ragged, sigma_inferred=inferred)
 
     @property
     def h(self) -> int:
@@ -81,9 +93,11 @@ def validate_panel(p: Panel) -> PanelReport:
             raise PanelError(f"mixed lengths {sorted(set(lengths))} in fixed-length mode")
         if lengths[0] < 1:
             raise PanelError("zero-length rows in fixed-length mode")
-    for i, r in enumerate(p.rows, 1):
-        if r.size and (int(r.min()) < 0 or int(r.max()) >= p.sigma):
-            bad = int(r[(r < 0) | (r >= p.sigma)][0])
-            raise PanelError(f"symbol out of range in row {i}: {bad} not in [0..{p.sigma - 1}]")
+    flat = np.concatenate(p.rows)
+    bad = np.flatnonzero((flat < 0) | (flat >= p.sigma))
+    if bad.size:
+        i = int(np.searchsorted(np.cumsum(lengths), bad[0], side="right")) + 1
+        raise PanelError(f"symbol out of range in row {i}: {int(flat[bad[0]])} "
+                         f"not in [0..{p.sigma - 1}]")
     return PanelReport(h=p.h, w=None if p.ragged else lengths[0], sigma=p.sigma,
                        sigma_inferred=p.sigma_inferred, lengths=lengths, ragged=p.ragged)

@@ -9,6 +9,8 @@ In ragged mode every row is extended with a terminator that sorts below all
 real symbols (stored internally as 0, real symbols shifted up by one), and
 column j only lists rows still alive there. Forward stepping is undefined on
 terminator positions; backward stepping is always defined.
+Per column, ``cols``, ``pas`` and ``fore_all`` use the smallest unsigned
+dtype that holds the internal alphabet, h and the column length.
 """
 
 from __future__ import annotations
@@ -60,16 +62,21 @@ class PbwtColumns:
 
 def extract_runs(symbols) -> np.ndarray:
     """1-based starts of the maximal equal-symbol blocks of a column."""
-    sym = np.asarray(symbols, dtype=np.int64)
+    sym = np.asarray(symbols)
     if sym.size == 0:
         raise ValueError("empty column")
     return kernels.run_starts(sym) + 1
 
 
-def _internal_rows(p: Panel) -> list[np.ndarray]:
-    if p.ragged:
-        return [np.append(r + 1, 0).astype(np.int64) for r in p.rows]
-    return [np.asarray(r, dtype=np.int64) for r in p.rows]
+def internal_matrix(p: Panel) -> np.ndarray:
+    """The internal rows, zero-padded to one h×w matrix of the smallest
+    unsigned dtype that holds the internal alphabet (ragged: r+1, then 0)."""
+    lens = np.fromiter(map(len, p.rows), np.int64, p.h)
+    mat = np.zeros((p.h, int(lens.max()) + p.ragged),
+                   np.min_scalar_type(p.sigma - 1 + p.ragged))
+    filled = np.arange(mat.shape[1]) < lens[:, None]
+    mat[filled] = np.concatenate(p.rows).astype(mat.dtype) + int(p.ragged)
+    return mat
 
 
 def _columns(p: Panel, cols: list[np.ndarray], pas: list[np.ndarray]) -> PbwtColumns:
@@ -82,28 +89,24 @@ def _columns(p: Panel, cols: list[np.ndarray], pas: list[np.ndarray]) -> PbwtCol
 def build_pbwt(p: Panel) -> PbwtColumns:
     """Counting-sort construction, one stable bucket pass per column.
 
-    The internal rows sit in one zero-padded h×w matrix, so column j is a
-    gather along the current order. Rows whose symbol is below the steppable
+    Column j is a gather along the current order from row j of the
+    transposed ``internal_matrix``. Rows whose symbol is below the steppable
     range (a ragged row's terminator) drop out before the next column; the
-    stable argsort on an integer column is numpy's radix sort, i.e. one
+    stable argsort on a narrow integer column is numpy's radix sort, i.e. one
     counting-sort bucket pass.
     """
     validate_panel(p)
-    rows = _internal_rows(p)
-    w = max(r.size for r in rows)
-    mat = np.zeros((p.h, w), np.int64)
-    for k, r in enumerate(rows):
-        mat[k, :r.size] = r
+    by_col = np.ascontiguousarray(internal_matrix(p).T)
     lo = 1 if p.ragged else 0
-    order = np.arange(1, p.h + 1, dtype=np.int64)
+    order = np.arange(1, p.h + 1, dtype=np.min_scalar_type(p.h))
     cols, pas = [], []
-    for j in range(w):
-        col = mat[order - 1, j]
+    for j, column in enumerate(by_col, 1):
+        col = column[order - 1]
         cols.append(col)
         pas.append(order)
-        if j + 1 < w:
-            keep = col >= lo
-            order = order[keep][np.argsort(col[keep], kind="stable")]
+        if j < by_col.shape[0]:
+            # the dropped rows hold the smallest symbols, so they sort first
+            order = order[np.argsort(col, kind="stable")[np.count_nonzero(col < lo):]]
     return _columns(p, cols, pas)
 
 
@@ -114,14 +117,14 @@ def build_pbwt_reference(p: Panel) -> PbwtColumns:
     sort instead of the incremental bucket pass.
     """
     validate_panel(p)
-    rows = _internal_rows(p)
-    w = max(r.size for r in rows)
+    mat = internal_matrix(p)
+    lens = [len(r) + p.ragged for r in p.rows]
     cols, pas = [], []
-    for j in range(1, w + 1):
-        alive = [i for i in range(1, p.h + 1) if rows[i - 1].size >= j]
-        alive.sort(key=lambda i: tuple(rows[i - 1][:j - 1][::-1]))
+    for j in range(1, mat.shape[1] + 1):
+        alive = [i for i in range(1, p.h + 1) if lens[i - 1] >= j]
+        alive.sort(key=lambda i: tuple(mat[i - 1, :j - 1][::-1].tolist()))
         pas.append(np.array(alive, np.int64))
-        cols.append(np.array([rows[i - 1][j - 1] for i in alive], np.int64))
+        cols.append(np.array([mat[i - 1, j - 1] for i in alive], np.int64))
     return _columns(p, cols, pas)
 
 

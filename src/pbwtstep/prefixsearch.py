@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .panel import Panel
+from .pbwt import internal_matrix
 from .stepindex import StepIndex
 
 
@@ -52,8 +53,9 @@ class SymbolPositions:
 
 
 def _lex_order(p: Panel) -> np.ndarray:
-    keys = [tuple(int(s) for s in r) for r in p.rows]
-    return np.array(sorted(range(1, p.h + 1), key=lambda i: keys[i - 1]), np.int64)
+    """1-based ids in lexicographic row order, ties in file order; a ragged
+    row's terminator and padding sort it before its extensions."""
+    return np.lexsort(internal_matrix(p).T[::-1]) + 1
 
 
 @dataclass
@@ -182,8 +184,10 @@ class PrefixSearchIndex:
 def assemble_prefix_index(pc, step: StepIndex, sorted_rows: bool,
                           orig_ids: np.ndarray | None,
                           sigma_public: int) -> PrefixSearchIndex:
-    """Sample the prefix array at every forward sub-run start of ``step``."""
-    pa_at_start = np.concatenate([pa[fc.starts - 1] for pa, fc in zip(pc.pas, step.fore_cols)])
+    """Sample the prefix array at every forward sub-run start of ``step``, as
+    int64 like ``load_index``, so built and loaded indexes hold the same dtypes."""
+    samples = [pa[fc.starts - 1] for pa, fc in zip(pc.pas, step.fore_cols)]
+    pa_at_start = np.concatenate(samples).astype(np.int64)
     return PrefixSearchIndex(step=step, pa_at_start=pa_at_start, sorted_rows=sorted_rows,
                              orig_ids=orig_ids, sigma_public=sigma_public)
 
