@@ -40,6 +40,73 @@ def test_parse_malformed_line():
         parse_panel_text("01\n1x\n")
 
 
+def _oracle_parse(text):
+    """Per-character reference parse: (rows, header sigma) of a digit panel."""
+    rows, sigma = [], None
+    for ln in text.splitlines():
+        s = ln.strip()
+        if s.startswith("#"):
+            for tok in s[1:].split():
+                if tok.startswith("sigma="):
+                    sigma = int(tok[len("sigma="):])
+        elif s:
+            rows.append([int(ch) for ch in s])
+    return rows, sigma
+
+
+def _digit_panel_text(rng, ragged):
+    h, w = int(rng.integers(1, 30)), int(rng.integers(1, 25))
+    top = int(rng.integers(1, 11))
+    lines = []
+    if rng.random() < 0.5:
+        lines.append(f"#sigma={top} h={h}")
+    for _ in range(h):
+        n = int(rng.integers(0, w + 1)) if ragged else w
+        lines.append("".join(str(d) for d in rng.integers(0, top, size=n)))
+        if rng.random() < 0.2:
+            lines.append(["", "  ", "# note", "#w=3"][int(rng.integers(0, 4))])
+    return lines
+
+
+def test_parse_matches_per_character_oracle(rng):
+    for k in range(120):
+        ragged = k % 2 == 1
+        lines = _digit_panel_text(rng, ragged)
+        text = ("\r\n" if k % 3 else "\n").join(lines) + ("\r\n" if k % 4 else "")
+        rows, sigma = _oracle_parse(text)
+        if not rows:        # every row empty: a blank file
+            continue
+        p, fmt = parse_panel_text(text, ragged=ragged)
+        assert fmt == "digits" and p.ragged == ragged
+        assert [r.tolist() for r in p.rows] == rows
+        want_sigma = sigma if sigma is not None else max(max(r, default=0) for r in rows) + 1
+        assert (p.sigma, p.sigma_inferred) == (want_sigma, sigma is None)
+
+
+def test_parse_bad_byte_names_its_line(rng):
+    for _ in range(60):
+        lines = [ln for ln in _digit_panel_text(rng, ragged=True) if ln.strip() and
+                 not ln.startswith("#")]
+        if not lines:
+            continue
+        k = int(rng.integers(0, len(lines)))
+        pos = int(rng.integers(0, len(lines[k]) + 1))
+        bad = "x-+./:a"[int(rng.integers(0, 7))]
+        lines[k] = lines[k][:pos] + bad + lines[k][pos:]
+        with pytest.raises(PanelError) as err:
+            parse_panel_text("\n".join(["#sigma=10"] + lines), fmt="digits", ragged=True)
+        assert str(err.value) == f"malformed line {k + 1}: {lines[k]!r}"
+
+
+def test_parse_rejects_non_ascii_digits():
+    # int() accepts other scripts' digits; a digit panel is ASCII only
+    for text in ("0\u0663\n", "01\n1\uff11\n"):
+        with pytest.raises(PanelError, match="malformed line"):
+            parse_panel_text(text)
+    with pytest.raises(PanelError, match="malformed line 2"):
+        Panel.from_strings(["01", "0\u0663"])
+
+
 def test_parse_mixed_lengths_needs_ragged():
     with pytest.raises(PanelError, match="mixed lengths"):
         parse_panel_text("01\n100\n")
@@ -228,6 +295,7 @@ def test_loaded_tables_equal_built(rng, tmp_path):
             st, lst = ix.step, loaded.step
             assert (lst.total_runs, lst.fore_first) == (st.total_runs, st.fore_first)
             assert np.array_equal(loaded.prefix.pa_at_start, ix.prefix.pa_at_start)
+            assert loaded.prefix.pa_at_start.dtype == ix.prefix.pa_at_start.dtype
             pairs = list(zip(st.fore_cols, lst.fore_cols))
             assert (st.back_cols is None) == (lst.back_cols is None) == ix.fore_only
             if st.back_cols is not None:
@@ -236,6 +304,7 @@ def test_loaded_tables_equal_built(rng, tmp_path):
                 for f in dataclasses.fields(built):
                     a, b = getattr(built, f.name), getattr(got, f.name)
                     assert (a is None and b is None) or np.array_equal(a, b), f.name
+                    assert getattr(a, "dtype", None) == getattr(b, "dtype", None), f.name
 
 
 def test_trailing_bytes_rejected(rng, tmp_path):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pbwtstep.io import build_index, parse_panel_text
 from pbwtstep.panel import Panel
 from pbwtstep.pbwt import (build_pbwt, build_pbwt_reference, extract_runs,
                            naive_back, naive_fore)
@@ -152,3 +153,36 @@ def test_fore_tables_match_naive(rng):
             for i in range(1, pc.h + 1):
                 assert naive_back(pc, i, j) == int(back_tables[j - 1][i - 1])
 
+
+
+def _check_against_reference_and_extract(p):
+    pc, ref = build_pbwt(p), build_pbwt_reference(p)
+    for j in range(1, pc.w + 1):
+        assert np.array_equal(pc.pbwt_col(j), ref.pbwt_col(j))
+        assert np.array_equal(pc.pa_col(j), ref.pa_col(j))
+    ret = build_index(p).retrieval
+    for i in range(1, p.h + 1):
+        assert ret.extract(i) == p.rows[i - 1].tolist()
+    return pc
+
+
+@pytest.mark.parametrize("h", [255, 256])
+def test_row_id_dtype_boundary(rng, h):
+    # row ids and forward targets switch from uint8 to uint16 past 255
+    p = Panel.from_rows(rng.integers(0, 3, size=(h, 5)) * (rng.random((h, 5)) < 0.3), sigma=3)
+    pc = _check_against_reference_and_extract(p)
+    assert pc.pa_col(1).dtype.itemsize == pc.fore_all(1).dtype.itemsize == (1 if h == 255 else 2)
+    for j, table in enumerate(pos_lookup_fore(pc), 1):
+        assert np.array_equal(pc.fore_all(j), table)
+
+
+@pytest.mark.parametrize("sigma,ragged", [(255, True), (256, True), (256, False), (257, False)])
+def test_symbol_dtype_boundary(rng, sigma, ragged):
+    # internal alphabet of 256 symbols fits uint8; one more needs uint16
+    rows = [[sigma - 1] * 4] + [rng.integers(sigma - 3, sigma, size=int(rng.integers(
+        0 if ragged else 4, 5))).tolist() for _ in range(40)]
+    text = f"#sigma={sigma}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)
+    p, fmt = parse_panel_text(text, fmt="tokens", ragged=ragged)
+    assert fmt == "tokens" and p.sigma == sigma
+    pc = _check_against_reference_and_extract(p)
+    assert pc.pbwt_col(1).dtype.itemsize == (1 if sigma + ragged <= 256 else 2)

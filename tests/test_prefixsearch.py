@@ -3,7 +3,7 @@ import pytest
 
 from pbwtstep.panel import Panel
 from pbwtstep.pbwt import build_pbwt
-from pbwtstep.prefixsearch import SymbolPositions
+from pbwtstep.prefixsearch import SymbolPositions, sort_panel
 
 from conftest import pattern_battery, prefix_index, rand_panel, scan_prefix
 
@@ -174,3 +174,16 @@ def test_terminator_run_accounting(rng):
         no_term = sum(int(np.count_nonzero(pc.pbwt_col(j)[pc.runs_at(j) - 1] != 0))
                       for j in range(1, pc.w + 1))
         assert pc.total_runs <= no_term + p.h
+
+
+def test_sort_panel_matches_tuple_sort(rng):
+    # ties keep file order, and a ragged row sorts before its extensions
+    panels = [rand_panel(rng, ragged=k % 2 == 1) for k in range(80)]
+    panels += [Panel.from_rows([[1, 0], [], [0], [1], [], [0, 0], [1, 0]], ragged=True),
+               Panel.from_rows([[], [], []], ragged=True),
+               Panel.from_strings(["10", "01", "10", "00", "01"])]
+    for p in panels:
+        want = sorted(range(1, p.h + 1), key=lambda i: tuple(p.rows[i - 1].tolist()))
+        sp, ids = sort_panel(p)
+        assert ids.tolist() == want
+        assert [r.tolist() for r in sp.rows] == [p.rows[i - 1].tolist() for i in want]
