@@ -1,28 +1,12 @@
 """Per-column build kernels, written as whole-column numpy operations.
 
-All kernels speak the internal convention: symbols are ints in [0, sigma);
-``lo`` is the smallest steppable symbol (1 when symbol 0 is a terminator that
-drops out of the next column, else 0). ``fore_column`` returns 1-based
-positions in the smallest unsigned dtype that holds the column length,
-``run_starts`` 0-based int64 indices.
+Symbols are ints in [0, sigma) of the internal alphabet; ``run_starts``
+returns 0-based int64 indices.
 """
 
 import numpy as np
 
 BACKEND = "numpy"  # named in benchmark reports
-
-
-def fore_column(sym, lo):
-    """1-based forward-step targets for one column; 0 where undefined.
-
-    fore[i] = (#symbols in [lo, c)) + (#occurrences of c at or before i),
-    with c = sym[i], which is i's place in a stable sort of the column less
-    the positions below lo; positions with sym[i] < lo have no target.
-    """
-    out = np.zeros(sym.size, np.min_scalar_type(sym.size))
-    live = np.argsort(sym, kind="stable")[np.count_nonzero(sym < lo):]
-    out[live] = np.arange(1, live.size + 1)
-    return out
 
 
 def run_starts(sym):

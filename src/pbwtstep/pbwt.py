@@ -9,13 +9,14 @@ In ragged mode every row is extended with a terminator that sorts below all
 real symbols (stored internally as 0, real symbols shifted up by one), and
 column j only lists rows still alive there. Forward stepping is undefined on
 terminator positions; backward stepping is always defined.
-Per column, ``cols``, ``pas`` and ``fore_all`` use the smallest unsigned
-dtype that holds the internal alphabet, h and the column length.
+``cols`` and ``pas`` use the smallest unsigned dtype that holds the internal
+alphabet and h. Forward targets are kept only at run starts (``run_targets``):
+a run of c at s goes to C[c] + rank_c(s), and its other rows follow in order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,8 +35,8 @@ class PbwtColumns:
     cols: list[np.ndarray]          # per column: symbols, length n_j
     pas: list[np.ndarray]           # per column: 1-based row ids, length n_j
     runs: list[np.ndarray]          # per column: 1-based start of each run, ascending
+    run_targets: list[np.ndarray]   # per column: forward target of each run start, 0 = none
     total_runs: int
-    _fore: dict = field(default_factory=dict, repr=False)
 
     def col_len(self, j: int) -> int:
         return len(self.cols[j - 1])
@@ -52,12 +53,6 @@ class PbwtColumns:
     def steppable_from(self) -> int:
         """Smallest symbol with a forward-step target (1 skips the terminator)."""
         return 0 if self.terminator is None else 1
-
-    def fore_all(self, j: int) -> np.ndarray:
-        """Forward-step targets for every position of column j (0 = undefined)."""
-        if j not in self._fore:
-            self._fore[j] = kernels.fore_column(self.cols[j - 1], self.steppable_from())
-        return self._fore[j]
 
 
 def extract_runs(symbols) -> np.ndarray:
@@ -79,10 +74,23 @@ def internal_matrix(p: Panel) -> np.ndarray:
     return mat
 
 
+def _run_targets(col: np.ndarray, runs: np.ndarray, lo: int) -> np.ndarray:
+    """1-based forward target of each run start, 0 below ``lo`` (terminator):
+    an exclusive cumsum of live run lengths over the runs sorted by symbol."""
+    sym = col[runs - 1]
+    order = np.argsort(sym, kind="stable")
+    live = (np.diff(runs, append=col.size + 1) * (sym >= lo))[order]
+    out = np.zeros(runs.size, np.int64)
+    out[order] = np.cumsum(live) - live + 1
+    return np.where(sym >= lo, out, 0)
+
+
 def _columns(p: Panel, cols: list[np.ndarray], pas: list[np.ndarray]) -> PbwtColumns:
     runs = [extract_runs(c) for c in cols]
+    lo = 1 if p.ragged else 0
     return PbwtColumns(h=p.h, w=len(cols), sigma=p.sigma + (1 if p.ragged else 0),
                        terminator=0 if p.ragged else None, cols=cols, pas=pas, runs=runs,
+                       run_targets=[_run_targets(c, r, lo) for c, r in zip(cols, runs)],
                        total_runs=sum(r.size for r in runs))
 
 

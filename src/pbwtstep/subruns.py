@@ -8,8 +8,9 @@ forward run image against the next column's list, then pulling the pieces
 back). Both stay below twice the total run count, and every run start is a
 sub-run start, so no sub-run crosses a run boundary.
 
-In ragged mode, terminator sub-runs have no forward image; they are left out
-of the images and carried through the forward-stepping lists unchanged.
+Forward images come from each run start's target (``PbwtColumns.run_targets``).
+In ragged mode terminator runs (target 0) have none; they are left out of the
+images and carried through the forward-stepping lists unchanged.
 """
 
 from __future__ import annotations
@@ -67,9 +68,11 @@ def fore_image(pc: PbwtColumns, j: int, starts: np.ndarray) -> tuple[np.ndarray,
     """
     if not 1 <= j < pc.w:
         raise ValueError(f"column {j} has no forward image")
-    fore = pc.fore_all(j)[starts - 1]
-    live = fore > 0
-    fore, starts = fore[live], starts[live]
+    runs = pc.runs_at(j)
+    k = np.searchsorted(runs, starts, side="right") - 1
+    target = pc.run_targets[j - 1][k]
+    live = target > 0
+    fore, starts = (target + starts - runs[k])[live], starts[live]
     order = np.argsort(fore)
     return fore[order], starts[order]
 
@@ -99,7 +102,7 @@ def build_fore_subruns(pc: PbwtColumns) -> list[np.ndarray]:
         runs = pc.runs_at(j)
         image, live = fore_image(pc, j, runs)
         pieces, src = normalize(image, pc.col_len(j + 1), lists[j])
-        dead = runs[pc.cols[j - 1][runs - 1] < pc.steppable_from()]
+        dead = runs[pc.run_targets[j - 1] == 0]
         lists[j - 1] = np.sort(np.concatenate((live[src] + pieces - image[src], dead)))
     return lists
 

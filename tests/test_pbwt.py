@@ -148,10 +148,15 @@ def test_fore_tables_match_naive(rng):
         for j in range(1, pc.w):
             for i in range(1, pc.h + 1):
                 assert naive_fore(pc, i, j) == int(fore_tables[j - 1][i - 1])
-                assert int(pc.fore_all(j)[i - 1]) == naive_fore(pc, i, j)
+            assert np.array_equal(pc.run_targets[j - 1], fore_tables[j - 1][pc.runs_at(j) - 1])
         for j in range(2, pc.w + 1):
             for i in range(1, pc.h + 1):
                 assert naive_back(pc, i, j) == int(back_tables[j - 1][i - 1])
+    for _ in range(30):
+        # ragged: terminator runs have no target and read 0
+        pc = build_pbwt(rand_panel(rng, ragged=True))
+        for j, table in enumerate(pos_lookup_fore(pc), 1):
+            assert np.array_equal(pc.run_targets[j - 1], table[pc.runs_at(j) - 1])
 
 
 
@@ -168,12 +173,12 @@ def _check_against_reference_and_extract(p):
 
 @pytest.mark.parametrize("h", [255, 256])
 def test_row_id_dtype_boundary(rng, h):
-    # row ids and forward targets switch from uint8 to uint16 past 255
+    # row ids switch from uint8 to uint16 past 255
     p = Panel.from_rows(rng.integers(0, 3, size=(h, 5)) * (rng.random((h, 5)) < 0.3), sigma=3)
     pc = _check_against_reference_and_extract(p)
-    assert pc.pa_col(1).dtype.itemsize == pc.fore_all(1).dtype.itemsize == (1 if h == 255 else 2)
+    assert pc.pa_col(1).dtype.itemsize == (1 if h == 255 else 2)
     for j, table in enumerate(pos_lookup_fore(pc), 1):
-        assert np.array_equal(pc.fore_all(j), table)
+        assert np.array_equal(pc.run_targets[j - 1], table[pc.runs_at(j) - 1])
 
 
 @pytest.mark.parametrize("sigma,ragged", [(255, True), (256, True), (256, False), (257, False)])
