@@ -19,8 +19,8 @@ from .prefixsearch import _lex_order
 
 def adjacent_distinct_pairs(p: Panel) -> int:
     """Count of i < h with row i differing from row i+1, in the given order."""
-    rows = p.row_tuples()
-    return sum(1 for a, b in zip(rows, rows[1:]) if a != b)
+    rows = np.vstack(p.rows)
+    return int(np.count_nonzero((rows[1:] != rows[:-1]).any(axis=1)))
 
 
 def canonical_intervals(pc: PbwtColumns, p: Panel, j: int) -> np.ndarray:
@@ -72,7 +72,7 @@ def check_bounds(p: Panel, pc: PbwtColumns | None = None) -> BoundsReport:
     h_pp = adjacent_distinct_pairs(p)
     rows_sorted = np.vstack(p.rows)[_lex_order(p) - 1]
     h_pp_sorted = int(np.count_nonzero((rows_sorted[1:] != rows_sorted[:-1]).any(axis=1)))
-    distinct = len(set(p.row_tuples()))
+    distinct = h_pp_sorted + 1      # sorted rows put equal rows next to each other
     r_per_col = [len(pc.runs_at(j)) for j in range(1, pc.w + 1)]
     ell_per_col = [len(canonical_intervals(pc, p, j)) for j in range(1, pc.w + 1)]
     rt = pc.total_runs

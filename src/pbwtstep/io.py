@@ -73,9 +73,11 @@ def parse_panel_text(text: str, fmt: str = "auto", ragged: bool = False) -> tupl
         rows = []
         for idx, s in enumerate(data_lines, 1):
             try:
-                rows.append([int(tok) for tok in s.split()])
+                rows.append(np.array([int(tok) for tok in s.split()], np.int64))
             except ValueError as exc:
                 raise PanelError(f"malformed line {idx}: {s!r}") from exc
+            except OverflowError as exc:
+                raise PanelError(f"symbol out of int64 range on line {idx}: {s!r}") from exc
         p = Panel.from_rows(rows, sigma=header_sigma, ragged=ragged)
     validate_panel(p)
     return p, fmt
@@ -90,6 +92,8 @@ def parse_pattern(text: str, fmt: str) -> list[int]:
     if text == "":
         return []
     try:
+        if not text.isascii():          # as in panel files, other scripts' digits are refused
+            raise ValueError(text)
         if fmt == "digits":
             return [int(ch) for ch in text.strip()]
         return [int(tok) for tok in text.replace(",", " ").split()]

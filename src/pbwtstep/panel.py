@@ -67,9 +67,6 @@ class Panel:
         """Row length in fixed-length mode; max row length when ragged."""
         return max((len(r) for r in self.rows), default=0)
 
-    def row_tuples(self) -> list[tuple[int, ...]]:
-        return [tuple(int(s) for s in r) for r in self.rows]
-
 
 @dataclass
 class PanelReport:

@@ -30,7 +30,7 @@ def test_canonical_against_row_scan(rng):
     for _ in range(50):
         p = rand_panel(rng)
         pc = build_pbwt(p)
-        rows = p.row_tuples()
+        rows = [tuple(r.tolist()) for r in p.rows]
         for j in range(1, pc.w + 1):
             got = canonical_intervals(pc, p, j).tolist()
             pa = pc.pa_col(j).tolist()

@@ -120,6 +120,11 @@ def test_parse_pattern_formats():
     assert parse_pattern("", "digits") == []
     with pytest.raises(PanelError):
         parse_pattern("1x", "digits")
+    # digits and tokens from other scripts are rejected, as in panel files
+    with pytest.raises(PanelError):
+        parse_pattern("0\u0663", "digits")
+    with pytest.raises(PanelError):
+        parse_pattern("1 \u0661\u0662", "tokens")
 
 
 def test_round_trip_preserves_queries(rng, tmp_path):
@@ -267,6 +272,34 @@ def test_corrupt_array_elements_exit_cleanly(tmp_path, capsys):
                     for q in queries:
                         assert main(q) in (0, 2), (q, at, value)
         capsys.readouterr()
+
+
+def test_corrupt_panel_bytes_exit_cleanly(tmp_path, capsys):
+    # every byte of a small digit and token panel replaced or lengthened:
+    # build and stats accept the file (exit 0) or refuse it (exit 3)
+    panels = [b"#sigma=3\n0110\n1021\n0001\n",
+              b"3 0 1\n9223372036854775806 2\n1 2 0\n"]
+    values = [b"0", b"9", b" ", b"\n", b"#", b"-", b"=", b"x", b"\xff"]
+    path = tmp_path / "panel.txt"
+    for k, clean in enumerate(panels):
+        for at in range(len(clean)):
+            for value in values + [clean[at:at + 1] + b"9"]:
+                path.write_bytes(clean[:at] + value + clean[at + 1:])
+                for cmd in (["build", str(path), "-o", str(tmp_path / "ix.bin")],
+                            ["build", str(path), "-o", str(tmp_path / "ix.bin"), "--ragged"],
+                            ["stats", str(path)]):
+                    assert main(cmd) in (0, 3), (k, at, value, cmd)
+        capsys.readouterr()
+
+
+def test_token_overflow_names_its_line(tmp_path, capsys):
+    for text in ("3 99999999999999999999999\n1 2\n", "1 0\n18446744073709551615 1\n"):
+        path = tmp_path / "panel.txt"
+        path.write_text(text)
+        line = 1 if text.startswith("3") else 2
+        for cmd in (["build", str(path), "-o", str(tmp_path / "ix.bin")], ["stats", str(path)]):
+            assert main(cmd) == 3
+            assert f"out of int64 range on line {line}" in capsys.readouterr().err
 
 
 def test_version_1_rejected(rng, tmp_path, capsys):
