@@ -78,11 +78,12 @@ def _run_targets(col: np.ndarray, runs: np.ndarray, lo: int) -> np.ndarray:
     """1-based forward target of each run start, 0 below ``lo`` (terminator):
     an exclusive cumsum of live run lengths over the runs sorted by symbol."""
     sym = col[runs - 1]
+    alive = sym >= lo
     order = np.argsort(sym, kind="stable")
-    live = (np.diff(runs, append=col.size + 1) * (sym >= lo))[order]
-    out = np.zeros(runs.size, np.int64)
+    live = ((np.append(runs[1:], col.size + 1) - runs) * alive)[order]
+    out = np.empty(runs.size, np.int64)
     out[order] = np.cumsum(live) - live + 1
-    return np.where(sym >= lo, out, 0)
+    return out * alive
 
 
 def _columns(p: Panel, cols: list[np.ndarray], pas: list[np.ndarray]) -> PbwtColumns:

@@ -293,10 +293,10 @@ def test_corrupt_panel_bytes_exit_cleanly(tmp_path, capsys):
 
 
 def test_token_overflow_names_its_line(tmp_path, capsys):
-    for text in ("3 99999999999999999999999\n1 2\n", "1 0\n18446744073709551615 1\n"):
-        path = tmp_path / "panel.txt"
+    path = tmp_path / "panel.txt"
+    for text, line in (("3 99999999999999999999999\n1 2\n", 1),
+                       ("1 0\n18446744073709551615 1\n", 2)):
         path.write_text(text)
-        line = 1 if text.startswith("3") else 2
         for cmd in (["build", str(path), "-o", str(tmp_path / "ix.bin")], ["stats", str(path)]):
             assert main(cmd) == 3
             assert f"out of int64 range on line {line}" in capsys.readouterr().err
