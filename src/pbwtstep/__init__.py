@@ -10,24 +10,22 @@ terminator) and whole-haplotype retrieval without the panel.
 
 from .bounds import BoundsReport, adjacent_distinct_pairs, canonical_intervals, check_bounds
 from .io import IndexFile, IndexFormatError, build_index, load_index, load_panel, save_index
-from .panel import Panel, PanelError, PanelReport, validate_panel
+from .panel import Panel, PanelError, validate_panel
 from .pbwt import (PbwtColumns, build_pbwt, build_pbwt_reference, extract_runs,
                    naive_back, naive_fore)
 from .prefixsearch import PrefixSearchIndex, SymbolPositions
 from .retrieval import RetrievalIndex
 from .stepindex import BackStepColumn, ForeStepColumn, StepIndex, build_step_index
-from .subruns import (SubRunLists, build_back_subruns, build_fore_subruns, build_subruns,
-                      fore_image, normalize)
+from .subruns import build_back_subruns, build_fore_subruns, fore_image, normalize
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BoundsReport", "adjacent_distinct_pairs", "canonical_intervals", "check_bounds",
     "IndexFile", "IndexFormatError", "build_index", "load_index", "load_panel",
-    "save_index", "Panel", "PanelError", "PanelReport", "validate_panel", "PbwtColumns",
+    "save_index", "Panel", "PanelError", "validate_panel", "PbwtColumns",
     "build_pbwt", "build_pbwt_reference", "extract_runs", "naive_back", "naive_fore",
     "PrefixSearchIndex", "SymbolPositions", "RetrievalIndex", "BackStepColumn",
-    "ForeStepColumn", "StepIndex", "build_step_index", "SubRunLists",
-    "build_back_subruns", "build_fore_subruns", "build_subruns", "fore_image", "normalize",
-    "__version__",
+    "ForeStepColumn", "StepIndex", "build_step_index", "build_back_subruns",
+    "build_fore_subruns", "fore_image", "normalize", "__version__",
 ]

@@ -4,6 +4,9 @@ For a fixed-length panel, the total run count is squeezed between the number
 of adjacent distinct row pairs (plus one) and that quantity times the width;
 per column, runs are no more numerous than the canonical blocks of fully
 identical rows, whose count never grows from one column to the next.
+
+One lexsort gives each row a class, so a column's canonical blocks are the
+runs of classes along its prefix array: O(h*w) for the whole panel.
 """
 
 from __future__ import annotations
@@ -12,23 +15,35 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .panel import Panel, validate_panel
-from .pbwt import PbwtColumns, build_pbwt
+from .panel import Panel
+from .pbwt import PbwtColumns, build_pbwt, extract_runs, internal_matrix
 from .prefixsearch import _lex_order
+
+
+def _differs(mat: np.ndarray) -> np.ndarray:
+    """Per row after the first, whether it differs from the row before it."""
+    return (mat[1:] != mat[:-1]).any(axis=1)
 
 
 def adjacent_distinct_pairs(p: Panel) -> int:
     """Count of i < h with row i differing from row i+1, in the given order."""
-    rows = np.vstack(p.rows)
-    return int(np.count_nonzero((rows[1:] != rows[:-1]).any(axis=1)))
+    return int(np.count_nonzero(_differs(internal_matrix(p))))
 
 
-def canonical_intervals(pc: PbwtColumns, p: Panel, j: int) -> np.ndarray:
-    """1-based starts of the maximal blocks of column j's ordering whose full
-    rows are identical."""
-    ordered = np.vstack(p.rows)[pc.pa_col(j) - 1]
-    differs = (ordered[1:] != ordered[:-1]).any(axis=1)
-    return np.concatenate(([1], np.flatnonzero(differs) + 2))
+def _row_classes(p: Panel) -> np.ndarray:
+    """Per row (0-based), the rank of its value among the distinct rows: a
+    cumsum of adjacent differences in lexicographic order."""
+    order = _lex_order(p) - 1
+    cls = np.zeros(p.h, np.int64)
+    cls[order[1:]] = np.cumsum(_differs(internal_matrix(p)[order]))
+    return cls
+
+
+def canonical_intervals(pc: PbwtColumns, p: Panel) -> list[np.ndarray]:
+    """Per column j (index j-1), the 1-based starts of the maximal blocks of
+    its ordering whose full rows are identical: the runs of row classes."""
+    cls = _row_classes(p)
+    return [extract_runs(cls[pa - 1]) for pa in pc.pas]
 
 
 @dataclass
@@ -64,17 +79,16 @@ def check_bounds(p: Panel, pc: PbwtColumns | None = None) -> BoundsReport:
 
     A failed check indicates an implementation bug, never an input property.
     """
-    report_in = validate_panel(p)
-    if report_in.ragged:
+    if p.ragged:
         raise ValueError("bounds are defined for fixed-length panels")
     if pc is None:
         pc = build_pbwt(p)
     h_pp = adjacent_distinct_pairs(p)
-    rows_sorted = np.vstack(p.rows)[_lex_order(p) - 1]
-    h_pp_sorted = int(np.count_nonzero((rows_sorted[1:] != rows_sorted[:-1]).any(axis=1)))
+    cls = _row_classes(p)
+    h_pp_sorted = int(cls.max())    # adjacent distinct pairs after lexicographic sorting
     distinct = h_pp_sorted + 1      # sorted rows put equal rows next to each other
-    r_per_col = [len(pc.runs_at(j)) for j in range(1, pc.w + 1)]
-    ell_per_col = [len(canonical_intervals(pc, p, j)) for j in range(1, pc.w + 1)]
+    r_per_col = [r.size for r in pc.runs]
+    ell_per_col = [extract_runs(cls[pa - 1]).size for pa in pc.pas]
     rt = pc.total_runs
     checks = {
         "lower_adjacent": rt >= h_pp + 1,

@@ -68,8 +68,11 @@ def _build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    ap = _build_parser()
     try:
-        args = _build_parser().parse_args(argv)
+        args = ap.parse_args(argv)
+        if args.cmd == "selftest" and (args.panels < 1 or args.seed < 0):
+            ap.error("selftest needs --panels >= 1 and --seed >= 0")
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

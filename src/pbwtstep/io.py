@@ -24,12 +24,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .panel import Panel, PanelError, validate_panel
+from .panel import Panel, PanelError
 from .pbwt import build_pbwt
 from .prefixsearch import PrefixSearchIndex, assemble_prefix_index, sort_panel
 from .retrieval import RetrievalIndex
 from .stepindex import StepIndex, assemble_step_index, build_step_index
-from .subruns import SubRunLists, build_back_subruns, build_fore_subruns
+from .subruns import build_back_subruns, build_fore_subruns
 
 MAGIC = b"PBWTSTEP"
 VERSION = 2
@@ -79,7 +79,6 @@ def parse_panel_text(text: str, fmt: str = "auto", ragged: bool = False) -> tupl
             except OverflowError as exc:
                 raise PanelError(f"symbol out of int64 range on line {idx}: {s!r}") from exc
         p = Panel.from_rows(rows, sigma=header_sigma, ragged=ragged)
-    validate_panel(p)
     return p, fmt
 
 
@@ -138,14 +137,13 @@ class IndexFile:
 def build_index(p: Panel, sorted_rows: bool = False, fore_only: bool = False,
                 panel_format: str = "digits") -> IndexFile:
     """Build every query structure for a panel in one pass."""
-    validate_panel(p)
     orig_ids = None
     if sorted_rows:
         p, orig_ids = sort_panel(p)
     pc = build_pbwt(p)
     fore_lists = build_fore_subruns(pc)
     back_lists = [] if fore_only else build_back_subruns(pc)
-    step = build_step_index(pc, SubRunLists(back_lists, fore_lists))
+    step = build_step_index(pc, fore_lists, back_lists)
     prefix = assemble_prefix_index(pc, step, sorted_rows, orig_ids, p.sigma)
     return IndexFile(step=step, prefix=prefix, panel_format=panel_format)
 

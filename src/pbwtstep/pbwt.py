@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .panel import Panel, validate_panel
+from .panel import Panel
 
 
 @dataclass
@@ -64,13 +64,16 @@ def extract_runs(symbols) -> np.ndarray:
 
 
 def internal_matrix(p: Panel) -> np.ndarray:
-    """The internal rows, zero-padded to one h×w matrix of the smallest
-    unsigned dtype that holds the internal alphabet (ragged: r+1, then 0)."""
-    lens = np.fromiter(map(len, p.rows), np.int64, p.h)
-    mat = np.zeros((p.h, int(lens.max()) + p.ragged),
-                   np.min_scalar_type(p.sigma - 1 + p.ragged))
-    filled = np.arange(mat.shape[1]) < lens[:, None]
-    mat[filled] = np.concatenate(p.rows).astype(mat.dtype) + int(p.ragged)
+    """The panel as one column-major matrix of the smallest unsigned dtype
+    that holds the internal alphabet: ``p.mat`` itself when that needs no
+    cast; ragged panels shift real symbols up by one and add a terminator
+    column, so every row ends in a 0."""
+    dtype = np.min_scalar_type(p.sigma - 1 + p.ragged)
+    if not p.ragged:
+        return p.mat.astype(dtype, copy=False)
+    mat = np.zeros((p.h, p.w + 1), dtype, order="F")
+    mat[:, :-1] = p.mat
+    mat[:, :-1] += np.arange(p.w) < p.lens[:, None]
     return mat
 
 
@@ -98,13 +101,12 @@ def _columns(p: Panel, cols: list[np.ndarray], pas: list[np.ndarray]) -> PbwtCol
 def build_pbwt(p: Panel) -> PbwtColumns:
     """Counting-sort construction, one stable bucket pass per column.
 
-    Column j is a gather along the current order from row j of the
-    transposed ``internal_matrix``. Rows whose symbol is below the steppable
+    Column j is a gather along the current order from column j of the
+    column-major ``internal_matrix``. Rows whose symbol is below the steppable
     range (a ragged row's terminator) drop out before the next column; the
     stable argsort on a narrow integer column is numpy's radix sort, i.e. one
     counting-sort bucket pass.
     """
-    validate_panel(p)
     by_col = np.ascontiguousarray(internal_matrix(p).T)
     lo = 1 if p.ragged else 0
     order = np.arange(1, p.h + 1, dtype=np.min_scalar_type(p.h))
@@ -125,9 +127,8 @@ def build_pbwt_reference(p: Panel) -> PbwtColumns:
     Sorts, for every column, the reversed (j-1)-prefixes with Python's stable
     sort instead of the incremental bucket pass.
     """
-    validate_panel(p)
     mat = internal_matrix(p)
-    lens = [len(r) + p.ragged for r in p.rows]
+    lens = (p.lens + p.ragged).tolist()
     cols, pas = [], []
     for j in range(1, mat.shape[1] + 1):
         alive = [i for i in range(1, p.h + 1) if lens[i - 1] >= j]

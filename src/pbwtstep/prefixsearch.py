@@ -12,7 +12,7 @@ many rows carry it, and the smallest such row id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -195,6 +195,6 @@ def assemble_prefix_index(pc, step: StepIndex, sorted_rows: bool,
 def sort_panel(p: Panel) -> tuple[Panel, np.ndarray]:
     """Lexicographically sorted copy plus the sorted-position -> id map."""
     orig_ids = _lex_order(p)
-    return Panel(rows=[p.rows[i - 1] for i in orig_ids], sigma=p.sigma,
-                 ragged=p.ragged), orig_ids
-
+    # gathering columns of the transpose keeps the matrix column-major
+    mat = p.mat.T[:, orig_ids - 1].T
+    return replace(p, mat=mat, lens=p.lens[orig_ids - 1]), orig_ids

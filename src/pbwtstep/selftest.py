@@ -21,8 +21,6 @@ from .bounds import check_bounds
 from .io import build_index, load_index, save_index
 from .panel import Panel
 from .pbwt import build_pbwt, build_pbwt_reference, naive_back, naive_fore
-from .stepindex import build_step_index
-from .subruns import build_subruns
 
 
 class SelftestFailure(Exception):
@@ -75,7 +73,6 @@ def scan_prefix_oracle(p: Panel, pattern) -> tuple[int, int, int]:
 
 def random_patterns(rng: np.random.Generator, p: Panel, count: int = 6) -> list[list[int]]:
     pats: list[list[int]] = [[]]
-    wmax = max((len(r) for r in p.rows), default=1)
     for _ in range(count):
         kind = rng.integers(0, 3)
         if kind == 0 and p.h:
@@ -83,7 +80,7 @@ def random_patterns(rng: np.random.Generator, p: Panel, count: int = 6) -> list[
             cut = int(rng.integers(0, len(row) + 1)) if len(row) else 0
             pats.append([int(s) for s in row[:cut]])
         elif kind == 1:
-            m = int(rng.integers(1, wmax + 2))
+            m = int(rng.integers(1, p.w + 2))
             pats.append([int(s) for s in rng.integers(0, p.sigma, size=m)])
         else:
             row = p.rows[int(rng.integers(0, p.h))]
@@ -107,16 +104,15 @@ def _check_panel(rng: np.random.Generator, p: Panel, do_io: bool):
     if not p.ragged:
         _check(check_bounds(p, pc).passed, "bounds check failed")
         yield 1
-    sr = build_subruns(pc)
-    _check(sr.total_back() < 2 * pc.total_runs, "back sub-run bound violated")
-    _check(sr.total_fore() < 2 * pc.total_runs, "fore sub-run bound violated")
+    ix = build_index(p)
+    step = ix.step
+    _check(step.back_starts.size < 2 * pc.total_runs, "back sub-run bound violated")
+    _check(step.fore_starts.size < 2 * pc.total_runs, "fore sub-run bound violated")
     yield 2
-    for j in range(1, pc.w + 1):
-        runs = pc.runs_at(j)
-        _check(np.isin(runs, sr.back_lists[j - 1]).all() and
-               np.isin(runs, sr.fore_lists[j - 1]).all(), "a sub-run crosses a run boundary")
+    for runs, bc, fc in zip(pc.runs, step.back_cols, step.fore_cols):
+        _check(np.isin(runs, bc.starts).all() and np.isin(runs, fc.starts).all(),
+               "a sub-run crosses a run boundary")
         yield 1
-    step = build_step_index(pc, sr)
     for i0 in range(1, pc.h + 1):
         i, x = i0, step.find_fore_subrun(1, i0)
         for j in range(1, pc.w):
@@ -139,7 +135,6 @@ def _check_panel(rng: np.random.Generator, p: Panel, do_io: bool):
             _check(i2 == naive_back(pc, i, j), "back_step mismatch")
             i, x = i2, x2
         yield 1
-    ix = build_index(p)
     ixs = build_index(p, sorted_rows=True, fore_only=True).prefix
     for pat in random_patterns(rng, p):
         got = ix.prefix.partial_prefix_search(pat)

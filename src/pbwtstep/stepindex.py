@@ -27,7 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pbwt import PbwtColumns
-from .subruns import SubRunLists
 
 
 @dataclass
@@ -253,15 +252,16 @@ def assemble_step_index(h: int, w: int, sigma: int, terminator: int | None,
                      total_runs=total_runs, fore_cols=fore_cols, back_cols=back_cols)
 
 
-def build_step_index(pc: PbwtColumns, sr: SubRunLists) -> StepIndex:
-    """Step tables from built sub-run lists.
+def build_step_index(pc: PbwtColumns, fore_lists: list[np.ndarray],
+                     back_lists: list[np.ndarray]) -> StepIndex:
+    """Step tables from built sub-run lists, one start array per column.
 
-    Backward tables are built only when ``sr.back_lists`` is non-empty. Only
+    Backward tables are built only when ``back_lists`` is non-empty. Only
     the lists' starts and the fore sub-runs' symbols are read; the rest is
     derived by ``assemble_step_index``.
     """
-    vals = [col[s - 1] for col, s in zip(pc.cols, sr.fore_lists)]
-    back = np.concatenate(sr.back_lists) if sr.back_lists else None
+    vals = [col[s - 1] for col, s in zip(pc.cols, fore_lists)]
+    back = np.concatenate(back_lists) if back_lists else None
     return assemble_step_index(pc.h, pc.w, pc.sigma, pc.terminator,
-                               [col.size for col in pc.cols], np.concatenate(sr.fore_lists),
+                               [col.size for col in pc.cols], np.concatenate(fore_lists),
                                np.concatenate(vals), back)

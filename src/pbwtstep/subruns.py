@@ -15,25 +15,9 @@ images and carried through the forward-stepping lists unchanged.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .pbwt import PbwtColumns
-
-
-@dataclass
-class SubRunLists:
-    """Sub-run starts per column: back_lists[j-1] / fore_lists[j-1]."""
-
-    back_lists: list[np.ndarray]
-    fore_lists: list[np.ndarray]
-
-    def total_back(self) -> int:
-        return sum(lst.size for lst in self.back_lists)
-
-    def total_fore(self) -> int:
-        return sum(lst.size for lst in self.fore_lists)
 
 
 def normalize(starts: np.ndarray, n: int, ref: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,7 +90,3 @@ def build_fore_subruns(pc: PbwtColumns) -> list[np.ndarray]:
         lists[j - 1] = np.sort(np.concatenate((live[src] + pieces - image[src], dead)))
     return lists
 
-
-def build_subruns(pc: PbwtColumns) -> SubRunLists:
-    return SubRunLists(back_lists=build_back_subruns(pc),
-                       fore_lists=build_fore_subruns(pc))

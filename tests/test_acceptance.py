@@ -14,7 +14,7 @@ from pbwtstep.io import build_index, load_index, save_index
 from pbwtstep.panel import Panel
 from pbwtstep.pbwt import build_pbwt, build_pbwt_reference
 from pbwtstep.stepindex import build_step_index
-from pbwtstep.subruns import build_subruns, normalize
+from pbwtstep.subruns import build_back_subruns, build_fore_subruns, normalize
 
 from conftest import (pattern_battery, pos_lookup_back, pos_lookup_fore, prefix_index,
                       rand_panel, rand_partition, retrieval_index, scan_prefix, starts_of)
@@ -32,9 +32,9 @@ def corpus():
     for _ in range(1000):
         p = rand_panel(rng, h_max=32, w_max=32, sigma_max=4)
         pc = build_pbwt(p)
-        sr = build_subruns(pc)
-        st = build_step_index(pc, sr)
-        out.append((p, pc, sr, st))
+        fore, back = build_fore_subruns(pc), build_back_subruns(pc)
+        st = build_step_index(pc, fore, back)
+        out.append((p, pc, (fore, back), st))
     return out
 
 
@@ -84,16 +84,16 @@ def test_c02_golden_fixtures():
 
 
 def test_c03_subrun_size_bound(corpus):
-    for p, pc, sr, st in corpus:
-        assert sr.total_back() < 2 * pc.total_runs
-        assert sr.total_fore() < 2 * pc.total_runs
+    for p, pc, (fore, back), st in corpus:
+        assert sum(map(len, back)) < 2 * pc.total_runs
+        assert sum(map(len, fore)) < 2 * pc.total_runs
     _report(3, f"sub-run size bound ({len(corpus)} panels)")
 
 
 def test_c04_stepping_oracle_equivalence(corpus):
     t0 = time.perf_counter()
     steps = 0
-    for p, pc, sr, st in corpus:
+    for p, pc, _, st in corpus:
         fore_t, back_t = pos_lookup_fore(pc), pos_lookup_back(pc)
         for i0 in range(1, pc.h + 1):
             i, x = i0, st.find_fore_subrun(1, i0)
@@ -118,7 +118,7 @@ def test_c04_stepping_oracle_equivalence(corpus):
 
 
 def test_c05_run_count_bounds(corpus):
-    for p, pc, sr, st in corpus:
+    for p, pc, _, st in corpus:
         rep = check_bounds(p, pc)
         assert rep.passed, rep.checks
         assert rep.total_runs >= rep.h_pp + 1
@@ -134,7 +134,7 @@ def test_c06_prefix_search_oracle(corpus):
     rng = np.random.default_rng(6)
     t0 = time.perf_counter()
     queries = 0
-    for p, pc, sr, st in corpus[:500]:
+    for p, pc, _, st in corpus[:500]:
         ix = prefix_index(p)
         for pat in pattern_battery(rng, p, count=8):
             assert ix.partial_prefix_search(pat) == scan_prefix(p, pat)
@@ -149,7 +149,7 @@ def test_c06_prefix_search_oracle(corpus):
 
 def test_c07_sorted_variant_and_enumeration(corpus):
     rng = np.random.default_rng(7)
-    for p, pc, sr, st in corpus[:500]:
+    for p, pc, _, st in corpus[:500]:
         ix = prefix_index(p, sorted_rows=True)
         rows = [tuple(int(s) for s in r) for r in p.rows]
         for pat in pattern_battery(rng, p, count=4):
@@ -165,7 +165,7 @@ def test_c07_sorted_variant_and_enumeration(corpus):
 
 def test_c08_retrieval(corpus):
     from test_retrieval import _CountingStep
-    for p, pc, sr, st in corpus:
+    for p, pc, _, st in corpus:
         ret = retrieval_index(p)
         counter = _CountingStep(ret.step)
         ret.step = counter

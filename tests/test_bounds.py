@@ -18,21 +18,23 @@ def test_adjacent_distinct_examples():
 def test_canonical_examples():
     p = Panel.from_strings(["01"] * 4)
     pc = build_pbwt(p)
-    assert canonical_intervals(pc, p, 1).tolist() == [1]
-    assert canonical_intervals(pc, p, 2).tolist() == [1]
+    assert [s.tolist() for s in canonical_intervals(pc, p)] == [[1], [1]]
     p = Panel.from_strings(["00", "01", "10", "11"])
     pc = build_pbwt(p)
-    for j in (1, 2):
-        assert len(canonical_intervals(pc, p, j)) == 4
+    assert [len(s) for s in canonical_intervals(pc, p)] == [4, 4]
 
 
 def test_canonical_against_row_scan(rng):
-    for _ in range(50):
-        p = rand_panel(rng)
+    panels = [rand_panel(rng) for _ in range(50)]
+    panels += [Panel.from_strings(["0120"] * 7),                          # all identical
+               Panel.from_strings([format(i, "05b") for i in (9, 3, 30, 0, 17, 6)])]
+    for p in panels:
         pc = build_pbwt(p)
         rows = [tuple(r.tolist()) for r in p.rows]
+        canonical = canonical_intervals(pc, p)
+        assert len(canonical) == pc.w
         for j in range(1, pc.w + 1):
-            got = canonical_intervals(pc, p, j).tolist()
+            got = canonical[j - 1].tolist()
             pa = pc.pa_col(j).tolist()
             # maximality and equality by direct row comparison
             assert got[0] == 1
@@ -43,6 +45,10 @@ def test_canonical_against_row_scan(rng):
                     assert rows[pa[b - 2] - 1] != block[0]
                 if e < len(pa):
                     assert rows[pa[e] - 1] != block[0]
+    assert [s.tolist() for s in canonical_intervals(build_pbwt(panels[-2]), panels[-2])] \
+        == [[1]] * 4
+    assert [s.tolist() for s in canonical_intervals(build_pbwt(panels[-1]), panels[-1])] \
+        == [list(range(1, 7))] * 5
 
 
 def test_small_report_values():

@@ -6,7 +6,7 @@ import numpy as np
 from pbwtstep.panel import Panel
 from pbwtstep.pbwt import build_pbwt, naive_back
 from pbwtstep.stepindex import build_step_index
-from pbwtstep.subruns import SubRunLists, build_fore_subruns, fore_image, normalize
+from pbwtstep.subruns import build_fore_subruns, fore_image, normalize
 
 # Partitions of [1..16] are written as their starts.
 # Panel A: column 1 carries runs {[1,2],[3,3],[4,8],[9,11],[12,13],[14,14],[15,16]},
@@ -58,9 +58,7 @@ def test_back_subrun_refinement():
 
 def test_back_quadruples_and_step():
     pc = build_pbwt(PANEL_A)
-    sr = SubRunLists(back_lists=[BACK_PREV, BACK_CUR],
-                     fore_lists=build_fore_subruns(pc))
-    st = build_step_index(pc, sr)
+    st = build_step_index(pc, build_fore_subruns(pc), [BACK_PREV, BACK_CUR])
     bc = st.back_cols[1]
     # sub-run [6,10] overlaps the images of column-1 sub-runs 1, 7 and 8
     assert int(bc.nquads[2]) == 3
@@ -95,8 +93,7 @@ def test_back_map_example():
 
 def test_fore_quintuples_and_step():
     pc = build_pbwt(PANEL_B)
-    sr = SubRunLists(back_lists=[], fore_lists=build_fore_subruns(pc))
-    st = build_step_index(pc, sr)
+    st = build_step_index(pc, build_fore_subruns(pc), [])
     fc = st.fore_cols[0]
     # sub-run [11,15] maps onto [6,10], which column-2 sub-runs 4, 5 and 6 cover
     assert int(fc.image_b[3]) == 6

@@ -446,7 +446,9 @@ def test_cli_exit_codes(panel_file, tmp_path, capsys):
     junk = tmp_path / "junk.idx"
     junk.write_bytes(b"NOTANIDX" + b"\0" * 64)
     assert main(["prefix", str(junk), "0"]) == 2      # corrupt index
-    capsys.readouterr()
+    for bad_args in (["--panels", "0"], ["--panels", "-1"], ["--seed", "-1"]):
+        assert main(["selftest", *bad_args]) == 1     # usage: a run that checks nothing
+    assert "usage error" in capsys.readouterr().err
 
 
 def test_cli_selftest(capsys):

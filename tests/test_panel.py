@@ -1,34 +1,64 @@
+import numpy as np
 import pytest
 
-from pbwtstep.panel import Panel, PanelError, validate_panel
+from pbwtstep.panel import Panel, PanelError
+from pbwtstep.prefixsearch import sort_panel
 
 
 def test_validate_ok():
     p = Panel.from_strings(["01", "10", "00"])
-    rep = validate_panel(p)
-    assert (rep.h, rep.w, rep.sigma) == (3, 2, 2)
-    assert rep.sigma_inferred
+    assert (p.h, p.w, p.sigma) == (3, 2, 2)
+    assert p.sigma_inferred
 
 
 def test_validate_symbol_out_of_range():
-    p = Panel.from_rows([[0, 2]], sigma=2)
-    with pytest.raises(PanelError, match="symbol out of range"):
-        validate_panel(p)
+    with pytest.raises(PanelError, match="symbol out of range in row 2: 2 not in"):
+        Panel.from_rows([[0, 1], [0, 2]], sigma=2)
+    with pytest.raises(PanelError, match="symbol out of range in row 1: -1 not in"):
+        Panel.from_rows([[-1], [0, 0]], ragged=True)
 
 
 def test_validate_mixed_lengths():
-    p = Panel.from_rows([[0, 1], [1, 0, 0]], ragged=False)
-    with pytest.raises(PanelError, match="mixed lengths"):
-        validate_panel(p)
-    validate_panel(Panel.from_rows([[0, 1], [1, 0, 0]], ragged=True))
+    with pytest.raises(PanelError, match=r"mixed lengths \[2, 3\]"):
+        Panel.from_rows([[0, 1], [1, 0, 0]], ragged=False)
+    with pytest.raises(PanelError, match="zero-length rows"):
+        Panel.from_strings(["", ""])
+    Panel.from_rows([[0, 1], [1, 0, 0]], ragged=True)
 
 
 def test_validate_empty_panel():
     with pytest.raises(PanelError, match="empty panel"):
-        validate_panel(Panel.from_rows([]))
+        Panel.from_rows([])
+    with pytest.raises(PanelError, match="alphabet size 0 < 1"):
+        Panel.from_rows([[0]], sigma=0)
 
 
 def test_declared_sigma_kept():
     p = Panel.from_rows([[0, 1]], sigma=4)
-    rep = validate_panel(p)
-    assert rep.sigma == 4 and not rep.sigma_inferred
+    assert p.sigma == 4 and not p.sigma_inferred
+
+
+@pytest.mark.parametrize("rows, ragged", [
+    (["012", "210", "000"], False),
+    (["01", "", "2101", "1", ""], True),
+    (["", "", ""], True),
+])
+def test_from_rows_and_from_strings_agree(rows, ragged):
+    a = Panel.from_strings(rows, ragged=ragged)
+    b = Panel.from_rows([[int(ch) for ch in r] for r in rows], ragged=ragged)
+    assert np.array_equal(a.mat, b.mat) and np.array_equal(a.lens, b.lens)
+    assert a.lens.tolist() == [len(r) for r in rows]
+    assert a.mat.shape == (len(rows), max(map(len, rows)))
+    for pa, pb, r in zip(a.rows, b.rows, rows):
+        assert pa.tolist() == pb.tolist() == [int(ch) for ch in r]
+    assert a.sigma == b.sigma
+
+
+def test_sort_panel_keeps_lengths_with_rows():
+    rows = ["21", "", "2", "0101", "1", "01"]
+    p = Panel.from_strings(rows, ragged=True)
+    sp, ids = sort_panel(p)
+    assert ids.tolist() == [2, 6, 4, 5, 3, 1]
+    assert sp.lens.tolist() == [len(rows[i - 1]) for i in ids]
+    assert ["".join(map(str, r.tolist())) for r in sp.rows] == [rows[i - 1] for i in ids]
+    assert (sp.mat[np.arange(sp.w) >= sp.lens[:, None]] == 0).all()

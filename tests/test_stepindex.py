@@ -3,20 +3,20 @@ import pytest
 from pbwtstep.panel import Panel
 from pbwtstep.pbwt import build_pbwt, naive_fore
 from pbwtstep.stepindex import build_step_index
-from pbwtstep.subruns import build_subruns
+from pbwtstep.subruns import build_back_subruns, build_fore_subruns
 
 from conftest import pos_lookup_back, pos_lookup_fore, rand_panel
 
 
 def build_all(p):
     pc = build_pbwt(p)
-    sr = build_subruns(pc)
-    return pc, sr, build_step_index(pc, sr)
+    fore, back = build_fore_subruns(pc), build_back_subruns(pc)
+    return pc, (fore, back), build_step_index(pc, fore, back)
 
 
 def test_identical_rows_single_tuple():
     p = Panel.from_strings(["012"] * 5)
-    pc, sr, st = build_all(p)
+    pc, (fore, back), st = build_all(p)
     for j in range(2, 4):
         assert st.back_cols[j - 1].nquads.tolist() == [1]
     for j in range(1, 3):
@@ -29,7 +29,7 @@ def test_identical_rows_single_tuple():
 def test_chains_match_position_lookup(rng):
     for _ in range(60):
         p = rand_panel(rng)
-        pc, sr, st = build_all(p)
+        pc, (fore, back), st = build_all(p)
         fore_t, back_t = pos_lookup_fore(pc), pos_lookup_back(pc)
         for i0 in range(1, pc.h + 1):
             i, x = i0, st.find_fore_subrun(1, i0)
@@ -49,7 +49,7 @@ def test_chains_match_position_lookup(rng):
 def test_step_round_trip(rng):
     for _ in range(30):
         p = rand_panel(rng)
-        pc, sr, st = build_all(p)
+        pc, (fore, back), st = build_all(p)
         for j in range(1, pc.w):
             for i in range(1, pc.h + 1):
                 x = st.find_fore_subrun(j, i)
@@ -70,14 +70,14 @@ def test_tuple_lists_capped_and_tiling(rng):
     for ragged in (False, True):
         for _ in range(40):
             p = rand_panel(rng, ragged=ragged)
-            pc, sr, st = build_all(p)
+            pc, (fore, back), st = build_all(p)
             for j in range(2, pc.w + 1):
                 nq = st.back_cols[j - 1].nquads
-                assert nq.size == len(sr.back_lists[j - 1])
+                assert nq.size == len(back[j - 1])
                 assert ((nq >= 1) & (nq <= 3)).all()
             for j in range(1, pc.w):
                 fc = st.fore_cols[j - 1]
-                for t, b in enumerate(sr.fore_lists[j - 1].tolist()):
+                for t, b in enumerate(fore[j - 1].tolist()):
                     if st.terminator is not None and fc.vals[t] == st.terminator:
                         assert fc.nquints[t] == 0
                         continue
@@ -90,12 +90,12 @@ def test_symbol_access(rng):
     for ragged in (False, True):
         for _ in range(25):
             p = rand_panel(rng, ragged=ragged)
-            pc, sr, st = build_all(p)
+            pc, (fore, back), st = build_all(p)
             for j in range(1, pc.w + 1):
                 col = pc.pbwt_col(j)
-                for t, b in enumerate(sr.back_lists[j - 1].tolist(), 1):
+                for t, b in enumerate(back[j - 1].tolist(), 1):
                     assert st.symbol_at_back(j, t) == int(col[b - 1])
-                starts = sr.fore_lists[j - 1].tolist()
+                starts = fore[j - 1].tolist()
                 for t, (b, nxt) in enumerate(zip(starts, starts[1:] + [col.size + 1]), 1):
                     assert st.symbol_at_fore(j, t) == int(col[b - 1])
                     for i in range(b, nxt):
@@ -104,10 +104,10 @@ def test_symbol_access(rng):
 
 def test_symbol_access_small_example():
     p = Panel.from_strings(["01", "10", "00"])
-    pc, sr, st = build_all(p)
+    pc, (fore, back), st = build_all(p)
     x = st.find_fore_subrun(2, 1)
     assert st.symbol_at_fore(2, x) == 1
-    pc, sr, st = build_all(Panel.from_strings(["000"] * 4))
+    pc, (fore, back), st = build_all(Panel.from_strings(["000"] * 4))
     for j in (1, 2, 3):
         assert st.symbol_at_fore(j, 1) == 0
         assert st.symbol_at_back(j, 1) == 0
@@ -116,7 +116,7 @@ def test_symbol_access_small_example():
 def test_space_is_linear_in_runs(rng):
     for _ in range(60):
         p = rand_panel(rng, h_max=32, w_max=32)
-        pc, sr, st = build_all(p)
+        pc, (fore, back), st = build_all(p)
         # w <= r column lengths, plus fewer than 2r each of fore starts, fore
         # symbols and back starts
         assert st.stored_words() < 7 * pc.total_runs
@@ -124,7 +124,7 @@ def test_space_is_linear_in_runs(rng):
 
 def test_debug_precondition_checked(rng):
     p = Panel.from_strings(["01", "10", "00"])
-    pc, sr, st = build_all(p)
+    pc, (fore, back), st = build_all(p)
     x = st.find_fore_subrun(1, 1)
     end = st.fore_subrun_end(1, x)
     if end < pc.h:
@@ -135,7 +135,7 @@ def test_debug_precondition_checked(rng):
 def test_ragged_back_total_fore_partial(rng):
     for _ in range(25):
         p = rand_panel(rng, ragged=True)
-        pc, sr, st = build_all(p)
+        pc, (fore, back), st = build_all(p)
         back_t = pos_lookup_back(pc)
         for j in range(pc.w, 1, -1):
             for i in range(1, pc.col_len(j) + 1):
