@@ -39,7 +39,8 @@ class Panel:
     the row lengths. In fixed-length mode all rows share one length; with
     ``ragged=True`` lengths may differ (each row is implicitly
     terminator-extended by the index builders). Construction raises
-    PanelError on an invalid panel.
+    PanelError on an invalid panel; that ``mat`` and ``lens`` agree is
+    assumed, and ``from_rows`` / ``from_strings`` make them so.
     """
 
     mat: np.ndarray
