@@ -11,8 +11,7 @@ terminator) and whole-haplotype retrieval without the panel.
 from .bounds import BoundsReport, adjacent_distinct_pairs, canonical_intervals, check_bounds
 from .io import IndexFile, IndexFormatError, build_index, load_index, load_panel, save_index
 from .panel import Panel, PanelError, validate_panel
-from .pbwt import (PbwtColumns, build_pbwt, build_pbwt_reference, extract_runs,
-                   naive_back, naive_fore)
+from .pbwt import PbwtColumns, build_pbwt, extract_runs
 from .prefixsearch import PrefixSearchIndex, SymbolPositions
 from .retrieval import RetrievalIndex
 from .stepindex import BackStepColumn, ForeStepColumn, StepIndex, build_step_index
@@ -24,8 +23,8 @@ __all__ = [
     "BoundsReport", "adjacent_distinct_pairs", "canonical_intervals", "check_bounds",
     "IndexFile", "IndexFormatError", "build_index", "load_index", "load_panel",
     "save_index", "Panel", "PanelError", "validate_panel", "PbwtColumns",
-    "build_pbwt", "build_pbwt_reference", "extract_runs", "naive_back", "naive_fore",
-    "PrefixSearchIndex", "SymbolPositions", "RetrievalIndex", "BackStepColumn",
-    "ForeStepColumn", "StepIndex", "build_step_index", "build_back_subruns",
-    "build_fore_subruns", "fore_image", "normalize", "__version__",
+    "build_pbwt", "extract_runs", "PrefixSearchIndex", "SymbolPositions",
+    "RetrievalIndex", "BackStepColumn", "ForeStepColumn", "StepIndex",
+    "build_step_index", "build_back_subruns", "build_fore_subruns", "fore_image",
+    "normalize", "__version__",
 ]

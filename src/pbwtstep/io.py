@@ -144,7 +144,7 @@ def build_index(p: Panel, sorted_rows: bool = False, fore_only: bool = False,
     fore_lists = build_fore_subruns(pc)
     back_lists = [] if fore_only else build_back_subruns(pc)
     step = build_step_index(pc, fore_lists, back_lists)
-    prefix = assemble_prefix_index(pc, step, sorted_rows, orig_ids, p.sigma)
+    prefix = assemble_prefix_index(pc, step, orig_ids)
     return IndexFile(step=step, prefix=prefix, panel_format=panel_format)
 
 
@@ -238,8 +238,6 @@ def _decode_payload(payload: bytes, flags: int) -> IndexFile:
     sigma = sigma_public + (1 if terminator is not None else 0)
     step = assemble_step_index(h, w, sigma, terminator, col_lens, fore_starts, fore_vals,
                                back_starts)
-    prefix = PrefixSearchIndex(step=step, pa_at_start=pa_at_start,
-                               sorted_rows=bool(flags & FLAG_SORTED),
-                               orig_ids=orig_ids, sigma_public=sigma_public)
+    prefix = PrefixSearchIndex(step=step, pa_at_start=pa_at_start, orig_ids=orig_ids)
     return IndexFile(step=step, prefix=prefix,
                      panel_format="tokens" if flags & FLAG_TOKENS else "digits")

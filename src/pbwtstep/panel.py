@@ -39,8 +39,8 @@ class Panel:
     the row lengths. In fixed-length mode all rows share one length; with
     ``ragged=True`` lengths may differ (each row is implicitly
     terminator-extended by the index builders). Construction raises
-    PanelError on an invalid panel; that ``mat`` and ``lens`` agree is
-    assumed, and ``from_rows`` / ``from_strings`` make them so.
+    PanelError on an invalid panel, including a ``mat`` and ``lens`` that
+    disagree.
     """
 
     mat: np.ndarray
@@ -94,8 +94,17 @@ class Panel:
 
 def validate_panel(p: Panel) -> None:
     """Check all panel invariants; raise PanelError on the first violation."""
+    if not (isinstance(p.mat, np.ndarray) and p.mat.ndim == 2 and p.mat.dtype.kind in "iu"):
+        raise PanelError("panel matrix is not a 2-D integer array")
     if p.h < 1:
         raise PanelError("empty panel")
+    if not (isinstance(p.lens, np.ndarray) and p.lens.shape == (p.h,)
+            and p.lens.dtype.kind in "iu"):
+        raise PanelError(f"row lengths are not {p.h} integers, one per row")
+    bad = np.flatnonzero((p.lens < 0) | (p.lens > p.w))
+    if bad.size:
+        i = int(bad[0])
+        raise PanelError(f"row {i + 1} has length {int(p.lens[i])}, not in [0..{p.w}]")
     if p.sigma < 1:
         raise PanelError(f"alphabet size {p.sigma} < 1")
     if not p.ragged:
@@ -108,3 +117,8 @@ def validate_panel(p: Panel) -> None:
         i, k = np.argwhere((p.mat < 0) | (p.mat >= p.sigma))[0]
         raise PanelError(f"symbol out of range in row {i + 1}: {int(p.mat[i, k])} "
                          f"not in [0..{p.sigma - 1}]")
+    if p.ragged:    # fixed-length rows all end at w, so have no padding
+        pad = np.arange(p.w) >= p.lens[:, None]
+        if p.mat[pad].any():
+            i = int(np.flatnonzero((pad & (p.mat != 0)).any(axis=1))[0])
+            raise PanelError(f"row {i + 1} has symbols after its length {int(p.lens[i])}")

@@ -1,4 +1,4 @@
-"""PBWT and prefix-array construction plus naive stepping.
+"""PBWT and prefix-array construction.
 
 Column j (1-based) of the prefix array lists row ids in stable co-lexicographic
 order of their (j-1)-prefixes; the PBWT column holds each ordered row's symbol
@@ -7,8 +7,9 @@ as the ascending array of their 1-based starts.
 
 In ragged mode every row is extended with a terminator that sorts below all
 real symbols (stored internally as 0, real symbols shifted up by one), and
-column j only lists rows still alive there. Forward stepping is undefined on
-terminator positions; backward stepping is always defined.
+column j only lists rows still alive there. A forward step (the LF-mapping)
+moves a row to its position in column j+1's prefix array; it is undefined on
+terminator positions, while the backward step to column j-1 is always defined.
 ``cols`` and ``pas`` use the smallest unsigned dtype that holds the internal
 alphabet and h. Forward targets are kept only at run starts (``run_targets``):
 a run of c at s goes to C[c] + rank_c(s), and its other rows follow in order.
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import kernels
 from .panel import Panel
 
 
@@ -41,18 +41,8 @@ class PbwtColumns:
     def col_len(self, j: int) -> int:
         return len(self.cols[j - 1])
 
-    def pbwt_col(self, j: int) -> np.ndarray:
-        return self.cols[j - 1]
-
-    def pa_col(self, j: int) -> np.ndarray:
-        return self.pas[j - 1]
-
     def runs_at(self, j: int) -> np.ndarray:
         return self.runs[j - 1]
-
-    def steppable_from(self) -> int:
-        """Smallest symbol with a forward-step target (1 skips the terminator)."""
-        return 0 if self.terminator is None else 1
 
 
 def extract_runs(symbols) -> np.ndarray:
@@ -60,7 +50,7 @@ def extract_runs(symbols) -> np.ndarray:
     sym = np.asarray(symbols)
     if sym.size == 0:
         raise ValueError("empty column")
-    return kernels.run_starts(sym) + 1
+    return np.concatenate(([1], np.flatnonzero(sym[1:] != sym[:-1]) + 2))
 
 
 def internal_matrix(p: Panel) -> np.ndarray:
@@ -119,50 +109,3 @@ def build_pbwt(p: Panel) -> PbwtColumns:
             # the dropped rows hold the smallest symbols, so they sort first
             order = order[np.argsort(col, kind="stable")[np.count_nonzero(col < lo):]]
     return _columns(p, cols, pas)
-
-
-def build_pbwt_reference(p: Panel) -> PbwtColumns:
-    """Quadratic comparison-sort construction, kept as an independent oracle.
-
-    Sorts, for every column, the reversed (j-1)-prefixes with Python's stable
-    sort instead of the incremental bucket pass.
-    """
-    mat = internal_matrix(p)
-    lens = (p.lens + p.ragged).tolist()
-    cols, pas = [], []
-    for j in range(1, mat.shape[1] + 1):
-        alive = [i for i in range(1, p.h + 1) if lens[i - 1] >= j]
-        alive.sort(key=lambda i: tuple(mat[i - 1, :j - 1][::-1].tolist()))
-        pas.append(np.array(alive, np.int64))
-        cols.append(np.array([mat[i - 1, j - 1] for i in alive], np.int64))
-    return _columns(p, cols, pas)
-
-
-def naive_fore(pc: PbwtColumns, i: int, j: int) -> int:
-    """Position of col_j(PA)[i] in column j+1, by direct column scan."""
-    if not 1 <= j < pc.w:
-        raise ValueError(f"column {j} out of range [1..{pc.w - 1}] for forward step")
-    col = pc.cols[j - 1]
-    if not 1 <= i <= col.size:
-        raise ValueError(f"row {i} out of range for column {j}")
-    c = int(col[i - 1])
-    lo = pc.steppable_from()
-    if c < lo:
-        raise ValueError(f"forward step undefined on terminator position {i} in column {j}")
-    below = int(np.count_nonzero((col >= lo) & (col < c)))
-    rank = int(np.count_nonzero(col[:i] == c))
-    return below + rank
-
-
-def naive_back(pc: PbwtColumns, i: int, j: int) -> int:
-    """Position of col_j(PA)[i] in column j-1, by direct scan of that column."""
-    if not 1 < j <= pc.w:
-        raise ValueError(f"column {j} out of range (1..{pc.w}] for backward step")
-    col = pc.cols[j - 1]
-    if not 1 <= i <= col.size:
-        raise ValueError(f"row {i} out of range for column {j}")
-    rid = int(pc.pas[j - 1][i - 1])
-    hits = np.flatnonzero(pc.pas[j - 2] == rid)
-    if hits.size != 1:
-        raise ValueError(f"row id {rid} not unique in column {j - 1}")
-    return int(hits[0]) + 1

@@ -62,9 +62,7 @@ def _lex_order(p: Panel) -> np.ndarray:
 class PrefixSearchIndex:
     step: StepIndex
     pa_at_start: np.ndarray            # PA entry at each sub-run start of step.fore_starts
-    sorted_rows: bool
-    orig_ids: np.ndarray | None        # sorted position -> original row id
-    sigma_public: int
+    orig_ids: np.ndarray | None        # sorted position -> original row id; None when unsorted
     rank_select: list[SymbolPositions] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -90,16 +88,14 @@ class PrefixSearchIndex:
     def terminator_mode(self) -> bool:
         return self.step.terminator is not None
 
-    def sym_at_start(self, j: int) -> np.ndarray:
-        return self.step.fore_cols[j - 1].vals
+    @property
+    def sorted_rows(self) -> bool:
+        return self.orig_ids is not None
 
-    # -- rank/select over the per-column symbol arrays -----------------------
-
-    def rank_sym(self, j: int, c: int, x: int) -> int:
-        return self.rank_select[j - 1].rank(c, x)
-
-    def select_sym(self, j: int, c: int, k: int) -> int:
-        return self.rank_select[j - 1].select(c, k)
+    @property
+    def sigma_public(self) -> int:
+        """Alphabet size of the panel, without the ragged-mode terminator."""
+        return self.step.sigma - self.terminator_mode
 
     # -- queries --------------------------------------------------------------
 
@@ -181,15 +177,13 @@ class PrefixSearchIndex:
         return m_prime, self.orig_ids[lo - 1:hi].tolist()
 
 
-def assemble_prefix_index(pc, step: StepIndex, sorted_rows: bool,
-                          orig_ids: np.ndarray | None,
-                          sigma_public: int) -> PrefixSearchIndex:
+def assemble_prefix_index(pc, step: StepIndex,
+                          orig_ids: np.ndarray | None) -> PrefixSearchIndex:
     """Sample the prefix array at every forward sub-run start of ``step``, as
     int64 like ``load_index``, so built and loaded indexes hold the same dtypes."""
     samples = [pa[fc.starts - 1] for pa, fc in zip(pc.pas, step.fore_cols)]
     pa_at_start = np.concatenate(samples).astype(np.int64)
-    return PrefixSearchIndex(step=step, pa_at_start=pa_at_start, sorted_rows=sorted_rows,
-                             orig_ids=orig_ids, sigma_public=sigma_public)
+    return PrefixSearchIndex(step=step, pa_at_start=pa_at_start, orig_ids=orig_ids)
 
 
 def sort_panel(p: Panel) -> tuple[Panel, np.ndarray]:

@@ -1,8 +1,9 @@
 """Shared generators and independent brute-force oracles for the test suite.
 
-The oracles here deliberately avoid the library's fast paths: stepping is
-checked against prefix-array position lookups, prefix search against a row
-scan, normalization against an O(n^2) splitter.
+The oracles here deliberately avoid the library's fast paths: the PBWT is
+checked against a comparison sort, stepping against prefix-array position
+lookups, prefix search against the selftest's row scan, normalization
+against an O(n^2) splitter.
 """
 
 import numpy as np
@@ -10,6 +11,8 @@ import pytest
 
 from pbwtstep.io import build_index
 from pbwtstep.panel import Panel
+from pbwtstep.pbwt import PbwtColumns, _columns, internal_matrix
+from pbwtstep.selftest import scan_prefix_oracle as scan_prefix  # row-scan prefix oracle
 
 
 def rand_partition(rng, n, max_parts=None):
@@ -60,13 +63,30 @@ def retrieval_index(p: Panel):
 
 # ------------------------------------------------------------------- oracles
 
+def build_pbwt_reference(p: Panel) -> PbwtColumns:
+    """Quadratic comparison-sort construction, an oracle for ``build_pbwt``.
+
+    Sorts, for every column, the reversed (j-1)-prefixes with Python's stable
+    sort instead of the incremental bucket pass.
+    """
+    mat = internal_matrix(p)
+    lens = (p.lens + p.ragged).tolist()
+    cols, pas = [], []
+    for j in range(1, mat.shape[1] + 1):
+        alive = [i for i in range(1, p.h + 1) if lens[i - 1] >= j]
+        alive.sort(key=lambda i: tuple(mat[i - 1, :j - 1][::-1].tolist()))
+        pas.append(np.array(alive, np.int64))
+        cols.append(np.array([mat[i - 1, j - 1] for i in alive], np.int64))
+    return _columns(p, cols, pas)
+
+
 def pos_lookup_fore(pc):
     """fore tables from prefix-array position lookups only: out[j][i-1] is the
     1-based target of position i in column j, or 0 where undefined."""
     tables = []
     for j in range(1, pc.w):
-        nxt = {int(rid): k for k, rid in enumerate(pc.pa_col(j + 1), 1)}
-        cur = pc.pa_col(j)
+        nxt = {int(rid): k for k, rid in enumerate(pc.pas[j], 1)}
+        cur = pc.pas[j - 1]
         tables.append(np.array([nxt.get(int(rid), 0) for rid in cur], np.int64))
     return tables
 
@@ -74,27 +94,10 @@ def pos_lookup_fore(pc):
 def pos_lookup_back(pc):
     tables = [None]
     for j in range(2, pc.w + 1):
-        prv = {int(rid): k for k, rid in enumerate(pc.pa_col(j - 1), 1)}
-        cur = pc.pa_col(j)
+        prv = {int(rid): k for k, rid in enumerate(pc.pas[j - 2], 1)}
+        cur = pc.pas[j - 1]
         tables.append(np.array([prv[int(rid)] for rid in cur], np.int64))
     return tables
-
-
-def scan_prefix(p: Panel, pattern):
-    """Row-scan prefix oracle: (longest shared prefix, count, smallest id)."""
-    pat = [int(c) for c in pattern]
-    best = 0
-    for row in p.rows:
-        k = 0
-        while k < len(pat) and k < len(row) and int(row[k]) == pat[k]:
-            k += 1
-        best = max(best, k)
-    if best == 0:
-        return 0, p.h, 1
-    ids = [i for i in range(1, p.h + 1)
-           if len(p.rows[i - 1]) >= best
-           and [int(s) for s in p.rows[i - 1][:best]] == pat[:best]]
-    return best, len(ids), ids[0]
 
 
 def brute_overlaps(iv, items):

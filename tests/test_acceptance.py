@@ -12,12 +12,13 @@ import pytest
 from pbwtstep.bounds import check_bounds
 from pbwtstep.io import build_index, load_index, save_index
 from pbwtstep.panel import Panel
-from pbwtstep.pbwt import build_pbwt, build_pbwt_reference
+from pbwtstep.pbwt import build_pbwt
 from pbwtstep.stepindex import build_step_index
 from pbwtstep.subruns import build_back_subruns, build_fore_subruns, normalize
 
-from conftest import (pattern_battery, pos_lookup_back, pos_lookup_fore, prefix_index,
-                      rand_panel, rand_partition, retrieval_index, scan_prefix, starts_of)
+from conftest import (build_pbwt_reference, pattern_battery, pos_lookup_back, pos_lookup_fore,
+                      prefix_index, rand_panel, rand_partition, retrieval_index, scan_prefix,
+                      starts_of)
 import test_golden_fixtures as golden
 
 
@@ -183,9 +184,9 @@ def test_c09_ragged_mode():
         pc = build_pbwt(p)
         ref = build_pbwt_reference(p)
         for j in range(1, pc.w + 1):
-            assert np.array_equal(pc.pbwt_col(j), ref.pbwt_col(j))
-            assert np.array_equal(pc.pa_col(j), ref.pa_col(j))
-        no_term = sum(int(np.count_nonzero(pc.pbwt_col(j)[pc.runs_at(j) - 1] != 0))
+            assert np.array_equal(pc.cols[j - 1], ref.cols[j - 1])
+            assert np.array_equal(pc.pas[j - 1], ref.pas[j - 1])
+        no_term = sum(int(np.count_nonzero(pc.cols[j - 1][pc.runs_at(j) - 1] != 0))
                       for j in range(1, pc.w + 1))
         assert pc.total_runs <= no_term + p.h
         ix = prefix_index(p)

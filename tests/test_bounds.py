@@ -35,7 +35,7 @@ def test_canonical_against_row_scan(rng):
         assert len(canonical) == pc.w
         for j in range(1, pc.w + 1):
             got = canonical[j - 1].tolist()
-            pa = pc.pa_col(j).tolist()
+            pa = pc.pas[j - 1].tolist()
             # maximality and equality by direct row comparison
             assert got[0] == 1
             for b, e in zip(got, [s - 1 for s in got[1:]] + [len(pa)]):

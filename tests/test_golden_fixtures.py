@@ -4,9 +4,11 @@ known interval layouts, checked through the real build path."""
 import numpy as np
 
 from pbwtstep.panel import Panel
-from pbwtstep.pbwt import build_pbwt, naive_back
+from pbwtstep.pbwt import build_pbwt
 from pbwtstep.stepindex import build_step_index
 from pbwtstep.subruns import build_fore_subruns, fore_image, normalize
+
+from conftest import pos_lookup_back
 
 # Partitions of [1..16] are written as their starts.
 # Panel A: column 1 carries runs {[1,2],[3,3],[4,8],[9,11],[12,13],[14,14],[15,16]},
@@ -87,7 +89,7 @@ def test_back_map_example():
     pieces, src = normalize(image, 16, np.array(REF_LAYOUT))
     assert pieces.tolist() == [1, 2, 6, 11, 12]
     back = live[src] + pieces - image[src]
-    assert back.tolist() == [naive_back(pc, int(b), 2) for b in pieces]
+    assert np.array_equal(back, pos_lookup_back(pc)[1][pieces - 1])
     assert sorted(back.tolist()) == FORE_CUR
 
 

@@ -484,6 +484,22 @@ print(summary)
     assert "extract mismatch" in lines[2]
 
 
+@pytest.mark.parametrize("name", ["fore_step", "back_step"])
+def test_selftest_catches_an_off_by_one_step(monkeypatch, name):
+    from pbwtstep.selftest import run_selftest
+    from pbwtstep.stepindex import StepIndex
+
+    step = getattr(StepIndex, name)
+
+    def off_by_one(self, i, j, x):     # wrong on sub-run 1 of column 2 only
+        i2, x2 = step(self, i, j, x)
+        return (i2 + 1, x2) if (j, x) == (2, 1) else (i2, x2)
+
+    monkeypatch.setattr(StepIndex, name, off_by_one)
+    ok, summary = run_selftest(panels=10)
+    assert not ok and f"{name} mismatch" in summary
+
+
 def test_selftest_failure_counts_passed_checks(monkeypatch):
     from pbwtstep.retrieval import RetrievalIndex
     from pbwtstep.selftest import run_selftest

@@ -62,3 +62,16 @@ def test_sort_panel_keeps_lengths_with_rows():
     assert sp.lens.tolist() == [len(rows[i - 1]) for i in ids]
     assert ["".join(map(str, r.tolist())) for r in sp.rows] == [rows[i - 1] for i in ids]
     assert (sp.mat[np.arange(sp.w) >= sp.lens[:, None]] == 0).all()
+
+
+@pytest.mark.parametrize("mat, lens, ragged, msg", [
+    ([[1, 1], [0, 0]], [1, 2], True, "row 1 has symbols after its length 1"),
+    ([[1, 1], [0, 0]], [2, 2, 2], True, "row lengths are not 2 integers"),
+    ([[1, 1], [0, 0]], [2, 3], True, r"row 2 has length 3, not in \[0..2\]"),
+    ([[0, 1], [0, 0]], [-1, 2], True, r"row 1 has length -1, not in \[0..2\]"),
+    ([[0.5, 1.0], [1.0, 0.0]], [2, 2], False, "not a 2-D integer array"),
+    ([1, 0], [2], False, "not a 2-D integer array"),
+], ids=["padding", "lens_count", "lens_above_w", "lens_negative", "float_matrix", "1d_matrix"])
+def test_constructor_checks_matrix_and_lengths(mat, lens, ragged, msg):
+    with pytest.raises(PanelError, match=msg):
+        Panel(np.array(mat), np.array(lens), sigma=2, ragged=ragged)

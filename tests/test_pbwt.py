@@ -3,19 +3,18 @@ import pytest
 
 from pbwtstep.io import build_index, parse_panel_text
 from pbwtstep.panel import Panel
-from pbwtstep.pbwt import (build_pbwt, build_pbwt_reference, extract_runs,
-                           naive_back, naive_fore)
+from pbwtstep.pbwt import build_pbwt, extract_runs
 
-from conftest import pos_lookup_back, pos_lookup_fore, rand_panel
+from conftest import build_pbwt_reference, pos_lookup_back, pos_lookup_fore, rand_panel
 
 SMALL = Panel.from_strings(["01", "10", "00"])
 
 
 def test_small_panel_columns():
     pc = build_pbwt(SMALL)
-    assert pc.pbwt_col(1).tolist() == [0, 1, 0]
-    assert pc.pa_col(2).tolist() == [1, 3, 2]
-    assert pc.pbwt_col(2).tolist() == [1, 0, 0]
+    assert pc.cols[0].tolist() == [0, 1, 0]
+    assert pc.pas[1].tolist() == [1, 3, 2]
+    assert pc.cols[1].tolist() == [1, 0, 0]
     assert pc.total_runs == 5
 
 
@@ -24,10 +23,8 @@ def test_identical_rows_single_run():
     pc = build_pbwt(p)
     assert all(len(pc.runs_at(j)) == 1 for j in range(1, 5))
     assert pc.total_runs == 4
-    for j in range(1, 4):
-        for i in range(1, 8):
-            assert naive_fore(pc, i, j) == i
-            assert naive_back(pc, i, j + 1) == i
+    for table in pos_lookup_fore(pc) + pos_lookup_back(pc)[1:]:
+        assert table.tolist() == list(range(1, 8))
 
 
 def test_worked_example_panel():
@@ -35,33 +32,22 @@ def test_worked_example_panel():
     # lands on 2, inside the first run of column 5
     p = Panel.from_strings(["00000", "00111", "00011", "00100", "00011"])
     pc = build_pbwt(p)
-    target = naive_fore(pc, 5, 4)
+    target = int(pos_lookup_fore(pc)[3][4])
     assert target == 2
     assert np.searchsorted(pc.runs_at(5), target, side="right") == 1
 
 
-def test_naive_fore_example():
-    pc = build_pbwt(SMALL)
-    assert naive_fore(pc, 2, 1) == 3
-    assert pc.pa_col(2).tolist().index(int(pc.pa_col(1)[1])) + 1 == 3
-
-
-def test_naive_back_example_and_roundtrip():
-    pc = build_pbwt(SMALL)
-    assert naive_back(pc, 3, 2) == 2
-    for j in range(1, pc.w):
-        for i in range(1, pc.h + 1):
-            assert naive_back(pc, naive_fore(pc, i, j), j + 1) == i
-
-
 def test_column_range_errors():
-    pc = build_pbwt(SMALL)
-    with pytest.raises(ValueError):
-        naive_fore(pc, 1, 2)
-    with pytest.raises(ValueError):
-        naive_back(pc, 1, 1)
-    with pytest.raises(ValueError):
-        naive_fore(pc, 4, 1)
+    # steps refuse columns without a neighbour and rows outside their sub-run
+    st = build_index(SMALL).step
+    with pytest.raises(ValueError, match="no forward step from column 2"):
+        st.fore_step(1, 2, 1)
+    with pytest.raises(ValueError, match="no backward step from column 1"):
+        st.back_step(1, 1, 1)
+    with pytest.raises(ValueError, match="row 4 outside fore sub-run"):
+        st.fore_step(4, 1, st.find_fore_subrun(1, 3))
+    with pytest.raises(ValueError, match="no backward step from column 2"):
+        build_index(SMALL, fore_only=True).step.back_step(1, 2, 1)
 
 
 def test_extract_runs_examples():
@@ -77,9 +63,8 @@ def test_stepping_is_monotone_and_adjacent(rng):
     # equal symbols map order-preserving; adjacent equal symbols map adjacently
     for _ in range(40):
         pc = build_pbwt(rand_panel(rng))
-        for j in range(1, pc.w):
-            col = pc.pbwt_col(j)
-            f = [naive_fore(pc, i, j) for i in range(1, pc.h + 1)]
+        for j, table in enumerate(pos_lookup_fore(pc), 1):
+            col, f = pc.cols[j - 1], table.tolist()
             for i in range(1, pc.h):
                 if col[i - 1] == col[i]:
                     assert f[i - 1] + 1 == f[i]
@@ -96,8 +81,8 @@ def test_counting_matches_comparison_sort(rng):
         p = rand_panel(rng)
         pc, ref = build_pbwt(p), build_pbwt_reference(p)
         for j in range(1, pc.w + 1):
-            assert np.array_equal(pc.pbwt_col(j), ref.pbwt_col(j))
-            assert np.array_equal(pc.pa_col(j), ref.pa_col(j))
+            assert np.array_equal(pc.cols[j - 1], ref.cols[j - 1])
+            assert np.array_equal(pc.pas[j - 1], ref.pas[j - 1])
 
 
 def test_sort_stability_on_duplicate_prefixes():
@@ -105,7 +90,7 @@ def test_sort_stability_on_duplicate_prefixes():
     p = Panel.from_strings(["0011", "0010", "0011", "0010", "0011"])
     pc = build_pbwt(p)
     for j in range(1, pc.w + 1):
-        pa = pc.pa_col(j).tolist()
+        pa = pc.pas[j - 1].tolist()
         prefixes = {}
         for pos, rid in enumerate(pa):
             key = tuple(p.rows[rid - 1][:j - 1].tolist())
@@ -122,49 +107,39 @@ def test_ragged_columns_list_alive_rows(rng):
         lens = [len(r) + 1 for r in p.rows]
         for j in range(1, pc.w + 1):
             alive = [i for i in range(1, p.h + 1) if lens[i - 1] >= j]
-            assert sorted(pc.pa_col(j).tolist()) == alive
-            assert np.array_equal(pc.pa_col(j), ref.pa_col(j))
-            assert np.array_equal(pc.pbwt_col(j), ref.pbwt_col(j))
+            assert sorted(pc.pas[j - 1].tolist()) == alive
+            assert np.array_equal(pc.pas[j - 1], ref.pas[j - 1])
+            assert np.array_equal(pc.cols[j - 1], ref.cols[j - 1])
         # terminator appears once per row across all columns
-        assert sum(int(np.count_nonzero(pc.pbwt_col(j) == 0))
+        assert sum(int(np.count_nonzero(pc.cols[j - 1] == 0))
                    for j in range(1, pc.w + 1)) == p.h
 
 
 def test_ragged_fore_undefined_on_terminator():
     p = Panel.from_rows([[0], [0, 1]], ragged=True)
-    pc = build_pbwt(p)
+    pc, st = build_pbwt(p), build_index(p).step
     # row 1 ends after column 1: its column-2 symbol is the terminator
-    term_pos = int(np.flatnonzero(pc.pbwt_col(2) == 0)[0]) + 1
-    with pytest.raises(ValueError, match="terminator"):
-        naive_fore(pc, term_pos, 2)
+    term_pos = int(np.flatnonzero(pc.cols[1] == 0)[0]) + 1
+    with pytest.raises(ValueError, match="no forward step from terminator sub-run"):
+        st.fore_step(term_pos, 2, st.find_fore_subrun(2, term_pos))
 
 
 def test_fore_tables_match_naive(rng):
-    for _ in range(30):
-        p = rand_panel(rng)
-        pc = build_pbwt(p)
-        fore_tables = pos_lookup_fore(pc)
-        back_tables = pos_lookup_back(pc)
-        for j in range(1, pc.w):
-            for i in range(1, pc.h + 1):
-                assert naive_fore(pc, i, j) == int(fore_tables[j - 1][i - 1])
-            assert np.array_equal(pc.run_targets[j - 1], fore_tables[j - 1][pc.runs_at(j) - 1])
-        for j in range(2, pc.w + 1):
-            for i in range(1, pc.h + 1):
-                assert naive_back(pc, i, j) == int(back_tables[j - 1][i - 1])
-    for _ in range(30):
-        # ragged: terminator runs have no target and read 0
-        pc = build_pbwt(rand_panel(rng, ragged=True))
-        for j, table in enumerate(pos_lookup_fore(pc), 1):
-            assert np.array_equal(pc.run_targets[j - 1], table[pc.runs_at(j) - 1])
+    # the forward target kept at each run start is the position lookup's;
+    # ragged terminator runs have no target and read 0
+    for ragged in (False, True):
+        for _ in range(30):
+            pc = build_pbwt(rand_panel(rng, ragged=ragged))
+            for j, table in enumerate(pos_lookup_fore(pc), 1):
+                assert np.array_equal(pc.run_targets[j - 1], table[pc.runs_at(j) - 1])
 
 
 
 def _check_against_reference_and_extract(p):
     pc, ref = build_pbwt(p), build_pbwt_reference(p)
     for j in range(1, pc.w + 1):
-        assert np.array_equal(pc.pbwt_col(j), ref.pbwt_col(j))
-        assert np.array_equal(pc.pa_col(j), ref.pa_col(j))
+        assert np.array_equal(pc.cols[j - 1], ref.cols[j - 1])
+        assert np.array_equal(pc.pas[j - 1], ref.pas[j - 1])
     ret = build_index(p).retrieval
     for i in range(1, p.h + 1):
         assert ret.extract(i) == p.rows[i - 1].tolist()
@@ -176,7 +151,7 @@ def test_row_id_dtype_boundary(rng, h):
     # row ids switch from uint8 to uint16 past 255
     p = Panel.from_rows(rng.integers(0, 3, size=(h, 5)) * (rng.random((h, 5)) < 0.3), sigma=3)
     pc = _check_against_reference_and_extract(p)
-    assert pc.pa_col(1).dtype.itemsize == (1 if h == 255 else 2)
+    assert pc.pas[0].dtype.itemsize == (1 if h == 255 else 2)
     for j, table in enumerate(pos_lookup_fore(pc), 1):
         assert np.array_equal(pc.run_targets[j - 1], table[pc.runs_at(j) - 1])
 
@@ -190,4 +165,4 @@ def test_symbol_dtype_boundary(rng, sigma, ragged):
     p, fmt = parse_panel_text(text, fmt="tokens", ragged=ragged)
     assert fmt == "tokens" and p.sigma == sigma
     pc = _check_against_reference_and_extract(p)
-    assert pc.pbwt_col(1).dtype.itemsize == (1 if sigma + ragged <= 256 else 2)
+    assert pc.cols[0].dtype.itemsize == (1 if sigma + ragged <= 256 else 2)

@@ -104,11 +104,12 @@ def test_rank_select_against_scan(rng):
 
 
 def test_rank_sym_select_sym_wrappers():
+    # each column's rank/select runs over that column's fore sub-run symbols
     ix = prefix_index(SMALL)
-    vals = ix.sym_at_start(2)
+    vals, rs = ix.step.fore_cols[1].vals, ix.rank_select[1]
     c = int(vals[0])
-    assert ix.rank_sym(2, c, len(vals)) == int(np.count_nonzero(vals == c))
-    assert ix.select_sym(2, c, 1) == int(np.flatnonzero(vals == c)[0]) + 1
+    assert rs.rank(c, len(vals)) == int(np.count_nonzero(vals == c))
+    assert rs.select(c, 1) == int(np.flatnonzero(vals == c)[0]) + 1
 
 
 def test_matches_scan_oracle(rng):
@@ -171,7 +172,7 @@ def test_terminator_run_accounting(rng):
     for _ in range(50):
         p = rand_panel(rng, ragged=True)
         pc = build_pbwt(p)
-        no_term = sum(int(np.count_nonzero(pc.pbwt_col(j)[pc.runs_at(j) - 1] != 0))
+        no_term = sum(int(np.count_nonzero(pc.cols[j - 1][pc.runs_at(j) - 1] != 0))
                       for j in range(1, pc.w + 1))
         assert pc.total_runs <= no_term + p.h
 

@@ -1,11 +1,13 @@
 import pytest
 
 from pbwtstep.panel import Panel
-from pbwtstep.pbwt import build_pbwt, naive_fore
+from pbwtstep.pbwt import build_pbwt
 from pbwtstep.stepindex import build_step_index
 from pbwtstep.subruns import build_back_subruns, build_fore_subruns
 
 from conftest import pos_lookup_back, pos_lookup_fore, rand_panel
+
+SMALL = Panel.from_strings(["01", "10", "00"])
 
 
 def build_all(p):
@@ -66,11 +68,12 @@ def test_step_round_trip(rng):
 
 def test_tuple_lists_capped_and_tiling(rng):
     # every image overlaps 1..3 sub-runs of the adjacent column, and the
-    # derived image of each steppable fore sub-run start is the naive step
+    # derived image of each steppable fore sub-run start is the position lookup's
     for ragged in (False, True):
         for _ in range(40):
             p = rand_panel(rng, ragged=ragged)
             pc, (fore, back), st = build_all(p)
+            fore_t = pos_lookup_fore(pc)
             for j in range(2, pc.w + 1):
                 nq = st.back_cols[j - 1].nquads
                 assert nq.size == len(back[j - 1])
@@ -82,7 +85,7 @@ def test_tuple_lists_capped_and_tiling(rng):
                         assert fc.nquints[t] == 0
                         continue
                     assert 1 <= fc.nquints[t] <= 3
-                    assert fc.image_b[t] == naive_fore(pc, b, j)
+                    assert fc.image_b[t] == fore_t[j - 1][b - 1]
                     assert fc.first_lam[t] == st.find_fore_subrun(j + 1, int(fc.image_b[t]))
 
 
@@ -92,7 +95,7 @@ def test_symbol_access(rng):
             p = rand_panel(rng, ragged=ragged)
             pc, (fore, back), st = build_all(p)
             for j in range(1, pc.w + 1):
-                col = pc.pbwt_col(j)
+                col = pc.cols[j - 1]
                 for t, b in enumerate(back[j - 1].tolist(), 1):
                     assert st.symbol_at_back(j, t) == int(col[b - 1])
                 starts = fore[j - 1].tolist()
@@ -102,9 +105,20 @@ def test_symbol_access(rng):
                         assert int(col[i - 1]) == st.symbol_at_fore(j, t)
 
 
+def test_fore_step_small_example():
+    # row 2 sits at position 2 of column 1 and position 3 of column 2
+    pc, _, st = build_all(SMALL)
+    assert st.fore_step(2, 1, st.find_fore_subrun(1, 2))[0] == 3
+    assert pc.pas[1].tolist().index(int(pc.pas[0][1])) + 1 == 3
+
+
+def test_back_step_small_example():
+    _, _, st = build_all(SMALL)
+    assert st.back_step(3, 2, st.find_back_subrun(2, 3))[0] == 2
+
+
 def test_symbol_access_small_example():
-    p = Panel.from_strings(["01", "10", "00"])
-    pc, (fore, back), st = build_all(p)
+    pc, (fore, back), st = build_all(SMALL)
     x = st.find_fore_subrun(2, 1)
     assert st.symbol_at_fore(2, x) == 1
     pc, (fore, back), st = build_all(Panel.from_strings(["000"] * 4))

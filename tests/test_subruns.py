@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from pbwtstep.panel import Panel
-from pbwtstep.pbwt import build_pbwt, naive_back, naive_fore
+from pbwtstep.pbwt import build_pbwt
 from pbwtstep.subruns import build_back_subruns, build_fore_subruns, fore_image, normalize
 
-from conftest import rand_panel
+from conftest import pos_lookup_back, pos_lookup_fore, rand_panel
 
 
 def _overlaps(b, e, ref):
@@ -21,6 +21,7 @@ def test_fore_map_elementwise(rng):
     for _ in range(40):
         p = rand_panel(rng, h_max=12)
         pc = build_pbwt(p)
+        fore_t = pos_lookup_fore(pc)
         for j in range(1, pc.w):
             runs = pc.runs_at(j)
             image, live = fore_image(pc, j, runs)
@@ -29,7 +30,7 @@ def test_fore_map_elementwise(rng):
             ends = dict(zip(runs.tolist(), _ends(runs, pc.col_len(j)).tolist()))
             img_ends = _ends(image, pc.col_len(j + 1))
             for b, e, s in zip(image.tolist(), img_ends.tolist(), live.tolist()):
-                assert (b, e) == (naive_fore(pc, s, j), naive_fore(pc, ends[s], j))
+                assert (b, e) == (fore_t[j - 1][s - 1], fore_t[j - 1][ends[s] - 1])
 
 
 def test_fore_map_identity_on_identical_rows():
@@ -48,13 +49,13 @@ def test_fore_pullback_lands_on_pieces(rng):
             p = rand_panel(rng, ragged=ragged)
             pc = build_pbwt(p)
             lists = build_fore_subruns(pc)
+            fore_t = pos_lookup_fore(pc)
             for j in range(1, pc.w):
                 image, _ = fore_image(pc, j, pc.runs_at(j))
                 pieces = set(normalize(image, pc.col_len(j + 1), lists[j])[0].tolist())
-                col = pc.pbwt_col(j)
                 for s in lists[j - 1].tolist():
-                    if col[s - 1] >= pc.steppable_from():
-                        assert naive_fore(pc, s, j) in pieces
+                    if fore_t[j - 1][s - 1]:        # 0 on a terminator
+                        assert fore_t[j - 1][s - 1] in pieces
 
 
 def test_back_map_inverts_fore_map(rng):
@@ -66,12 +67,13 @@ def test_back_map_inverts_fore_map(rng):
             p = rand_panel(rng, ragged=ragged)
             pc = build_pbwt(p)
             lists = build_fore_subruns(pc)
+            back_t = pos_lookup_back(pc)
             for j in range(1, pc.w):
                 image, live = fore_image(pc, j, pc.runs_at(j))
                 pos = np.arange(1, pc.col_len(j + 1) + 1)
                 r = np.searchsorted(image, pos, side="right") - 1
                 back = live[r] + pos - image[r]
-                assert back.tolist() == [naive_back(pc, i, j + 1) for i in pos.tolist()]
+                assert np.array_equal(back, back_t[j])
                 pieces, src = normalize(image, pc.col_len(j + 1), lists[j])
                 pulled = live[src] + pieces - image[src]
                 assert np.isin(pulled, lists[j - 1]).all()
@@ -88,7 +90,7 @@ def test_build_back_subruns_bases_and_bounds(rng):
         assert sum(len(l) for l in lists) < 2 * pc.total_runs
         for j in range(2, pc.w + 1):
             image, _ = fore_image(pc, j - 1, lists[j - 2])
-            col = pc.pbwt_col(j)
+            col = pc.cols[j - 1]
             for b, e in zip(lists[j - 1].tolist(), _ends(lists[j - 1], pc.h).tolist()):
                 assert _overlaps(b, e, image) <= 3
                 # constant symbol within each sub-run
@@ -109,7 +111,7 @@ def test_build_fore_subruns_bases_and_bounds(rng):
             image, _ = fore_image(pc, j, lists[j - 1])
             for b, e in zip(image.tolist(), _ends(image, pc.h).tolist()):
                 assert _overlaps(b, e, lists[j]) <= 3
-            col = pc.pbwt_col(j)
+            col = pc.cols[j - 1]
             for b, e in zip(lists[j - 1].tolist(), _ends(lists[j - 1], pc.h).tolist()):
                 assert len(set(col[b - 1:e].tolist())) == 1
 
