@@ -17,7 +17,7 @@ import numpy as np
 
 from .panel import Panel
 from .pbwt import PbwtColumns, build_pbwt, extract_runs, internal_matrix
-from .prefixsearch import _lex_order
+from .prefixsearch import sort_panel
 
 
 def _differs(mat: np.ndarray) -> np.ndarray:
@@ -33,7 +33,7 @@ def adjacent_distinct_pairs(p: Panel) -> int:
 def _row_classes(p: Panel) -> np.ndarray:
     """Per row (0-based), the rank of its value among the distinct rows: a
     cumsum of adjacent differences in lexicographic order."""
-    order = _lex_order(p) - 1
+    order = sort_panel(p) - 1
     cls = np.zeros(p.h, np.int64)
     cls[order[1:]] = np.cumsum(_differs(internal_matrix(p)[order]))
     return cls

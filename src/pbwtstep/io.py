@@ -137,10 +137,8 @@ class IndexFile:
 def build_index(p: Panel, sorted_rows: bool = False, fore_only: bool = False,
                 panel_format: str = "digits") -> IndexFile:
     """Build every query structure for a panel in one pass."""
-    orig_ids = None
-    if sorted_rows:
-        p, orig_ids = sort_panel(p)
-    pc = build_pbwt(p)
+    orig_ids = sort_panel(p) if sorted_rows else None
+    pc = build_pbwt(p, orig_ids)
     fore_lists = build_fore_subruns(pc)
     back_lists = [] if fore_only else build_back_subruns(pc)
     step = build_step_index(pc, fore_lists, back_lists)
@@ -194,7 +192,7 @@ def save_index(path: str, ix: IndexFile) -> int:
     payload = _encode_payload(ix)
     flags = 0
     flags |= FLAG_SORTED if ix.sorted_rows else 0
-    flags |= FLAG_TERMINATOR if ix.step.terminator is not None else 0
+    flags |= FLAG_TERMINATOR if ix.step.ragged else 0
     flags |= FLAG_FORE_ONLY if ix.fore_only else 0
     flags |= FLAG_TOKENS if ix.panel_format == "tokens" else 0
     head = MAGIC + struct.pack("<IIIQ", VERSION, flags, zlib.crc32(payload), len(payload))
@@ -234,10 +232,9 @@ def _decode_payload(payload: bytes, flags: int) -> IndexFile:
     orig_ids = rd.arr() if flags & FLAG_SORTED else None
     if rd.off != len(payload):
         raise IndexFormatError("trailing bytes after the last section")
-    terminator = 0 if flags & FLAG_TERMINATOR else None
-    sigma = sigma_public + (1 if terminator is not None else 0)
-    step = assemble_step_index(h, w, sigma, terminator, col_lens, fore_starts, fore_vals,
-                               back_starts)
+    ragged = bool(flags & FLAG_TERMINATOR)
+    step = assemble_step_index(h, w, sigma_public + ragged, ragged, col_lens, fore_starts,
+                               fore_vals, back_starts)
     prefix = PrefixSearchIndex(step=step, pa_at_start=pa_at_start, orig_ids=orig_ids)
     return IndexFile(step=step, prefix=prefix,
                      panel_format="tokens" if flags & FLAG_TOKENS else "digits")

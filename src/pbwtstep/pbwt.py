@@ -1,9 +1,10 @@
 """PBWT and prefix-array construction.
 
-Column j (1-based) of the prefix array lists row ids in stable co-lexicographic
-order of their (j-1)-prefixes; the PBWT column holds each ordered row's symbol
-at column j. Runs are the maximal equal-symbol blocks of a PBWT column, kept
-as the ascending array of their 1-based starts.
+Column j (1-based) of the prefix array lists file row ids in stable
+co-lexicographic order of their (j-1)-prefixes, ties in column 1's order (file
+order, or lexicographic for a sorted index); the PBWT column holds each ordered
+row's symbol at column j. Runs are the maximal equal-symbol blocks of a PBWT
+column, kept as the ascending array of their 1-based starts.
 
 In ragged mode every row is extended with a terminator that sorts below all
 real symbols (stored internally as 0, real symbols shifted up by one), and
@@ -31,7 +32,7 @@ class PbwtColumns:
     h: int
     w: int
     sigma: int                      # internal alphabet size (incl. terminator)
-    terminator: int | None          # 0 in ragged mode, None otherwise
+    ragged: bool                    # rows end in the terminator, internal symbol 0
     cols: list[np.ndarray]          # per column: symbols, length n_j
     pas: list[np.ndarray]           # per column: 1-based row ids, length n_j
     runs: list[np.ndarray]          # per column: 1-based start of each run, ascending
@@ -81,16 +82,17 @@ def _run_targets(col: np.ndarray, runs: np.ndarray, lo: int) -> np.ndarray:
 
 def _columns(p: Panel, cols: list[np.ndarray], pas: list[np.ndarray]) -> PbwtColumns:
     runs = [extract_runs(c) for c in cols]
-    lo = 1 if p.ragged else 0
-    return PbwtColumns(h=p.h, w=len(cols), sigma=p.sigma + (1 if p.ragged else 0),
-                       terminator=0 if p.ragged else None, cols=cols, pas=pas, runs=runs,
-                       run_targets=[_run_targets(c, r, lo) for c, r in zip(cols, runs)],
-                       total_runs=sum(r.size for r in runs))
+    lo = int(p.ragged)
+    return PbwtColumns(h=p.h, w=len(cols), sigma=p.sigma + lo, ragged=p.ragged, cols=cols,
+                       pas=pas, runs=runs, total_runs=sum(r.size for r in runs),
+                       run_targets=[_run_targets(c, r, lo) for c, r in zip(cols, runs)])
 
 
-def build_pbwt(p: Panel) -> PbwtColumns:
+def build_pbwt(p: Panel, first: np.ndarray | None = None) -> PbwtColumns:
     """Counting-sort construction, one stable bucket pass per column.
 
+    Column 1 lists the 1-based row ids ``first`` (file order when None), and
+    every later order follows from it; ``pas`` hold file row ids either way.
     Column j is a gather along the current order from column j of the
     column-major ``internal_matrix``. Rows whose symbol is below the steppable
     range (a ragged row's terminator) drop out before the next column; the
@@ -98,8 +100,8 @@ def build_pbwt(p: Panel) -> PbwtColumns:
     counting-sort bucket pass.
     """
     by_col = np.ascontiguousarray(internal_matrix(p).T)
-    lo = 1 if p.ragged else 0
-    order = np.arange(1, p.h + 1, dtype=np.min_scalar_type(p.h))
+    lo = int(p.ragged)
+    order = (np.arange(1, p.h + 1) if first is None else first).astype(np.min_scalar_type(p.h))
     cols, pas = [], []
     for j, column in enumerate(by_col, 1):
         col = column[order - 1]

@@ -12,7 +12,7 @@ many rows carry it, and the smallest such row id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,16 +52,10 @@ class SymbolPositions:
         return int(arr[k - 1])
 
 
-def _lex_order(p: Panel) -> np.ndarray:
-    """1-based ids in lexicographic row order, ties in file order; a ragged
-    row's terminator and padding sort it before its extensions."""
-    return np.lexsort(internal_matrix(p).T[::-1]) + 1
-
-
 @dataclass
 class PrefixSearchIndex:
     step: StepIndex
-    pa_at_start: np.ndarray            # PA entry at each sub-run start of step.fore_starts
+    pa_at_start: np.ndarray            # row at each sub-run start of step.fore_starts
     orig_ids: np.ndarray | None        # sorted position -> original row id; None when unsorted
     rank_select: list[SymbolPositions] = field(init=False, repr=False)
 
@@ -85,17 +79,13 @@ class PrefixSearchIndex:
         return self.step.w
 
     @property
-    def terminator_mode(self) -> bool:
-        return self.step.terminator is not None
-
-    @property
     def sorted_rows(self) -> bool:
         return self.orig_ids is not None
 
     @property
     def sigma_public(self) -> int:
         """Alphabet size of the panel, without the ragged-mode terminator."""
-        return self.step.sigma - self.terminator_mode
+        return self.step.sigma - self.step.ragged
 
     # -- queries --------------------------------------------------------------
 
@@ -110,7 +100,7 @@ class PrefixSearchIndex:
         pat = [int(c) for c in pattern]
         if any(c < 0 for c in pat):
             raise ValueError("pattern symbols must be non-negative")
-        if self.terminator_mode:
+        if self.step.ragged:
             pat = [c + 1 for c in pat]
         st = self.step
         m_eff = min(len(pat), st.w)
@@ -180,15 +170,19 @@ class PrefixSearchIndex:
 def assemble_prefix_index(pc, step: StepIndex,
                           orig_ids: np.ndarray | None) -> PrefixSearchIndex:
     """Sample the prefix array at every forward sub-run start of ``step``, as
-    int64 like ``load_index``, so built and loaded indexes hold the same dtypes."""
+    int64 like ``load_index``, so built and loaded indexes hold the same dtypes.
+    The samples are file row ids; a sorted index (``orig_ids``: file ids in
+    sorted order) numbers rows by sorted position, so it maps them through the
+    inverse permutation, which is the argsort of ``orig_ids``."""
     samples = [pa[fc.starts - 1] for pa, fc in zip(pc.pas, step.fore_cols)]
     pa_at_start = np.concatenate(samples).astype(np.int64)
+    if orig_ids is not None:
+        pa_at_start = np.argsort(orig_ids)[pa_at_start - 1] + 1
     return PrefixSearchIndex(step=step, pa_at_start=pa_at_start, orig_ids=orig_ids)
 
 
-def sort_panel(p: Panel) -> tuple[Panel, np.ndarray]:
-    """Lexicographically sorted copy plus the sorted-position -> id map."""
-    orig_ids = _lex_order(p)
-    # gathering columns of the transpose keeps the matrix column-major
-    mat = p.mat.T[:, orig_ids - 1].T
-    return replace(p, mat=mat, lens=p.lens[orig_ids - 1]), orig_ids
+def sort_panel(p: Panel) -> np.ndarray:
+    """The order of a sorted index, not a sorted panel: the 1-based row ids in
+    lexicographic row order, ties in file order; a ragged row's terminator and
+    padding sort it before its extensions."""
+    return np.lexsort(internal_matrix(p).T[::-1]) + 1

@@ -26,18 +26,18 @@ class RetrievalIndex:
         return self.step.w
 
     def extract(self, i: int) -> list[int]:
-        """Reconstruct row i; in terminator mode the output stops before the
+        """Reconstruct row i; in ragged mode the output stops before the
         terminator, so ragged rows come back at their true lengths."""
         if not 1 <= i <= self.h:
             raise ValueError(f"row {i} out of range [1..{self.h}]")
         st = self.step
-        shift = 1 if st.terminator is not None else 0
+        shift = int(st.ragged)
         x = st.find_fore_subrun(1, i)
         cur = i
         out: list[int] = []
         for j in range(1, st.w + 1):
             c = st.symbol_at_fore(j, x)
-            if shift and c == st.terminator:
+            if c < shift:
                 break
             out.append(c - shift)
             if j < st.w:

@@ -7,7 +7,8 @@ step must land on the row's position in the adjacent column's prefix array,
 and each sub-run symbol must be the row's own symbol there. Since column 1
 lists the rows in order and a forward step is a stable sort by symbol, this
 also checks the prefix arrays themselves. Prefix searches are compared with
-a row scan and extraction with the stored rows; a sample of panels also
+a row scan, a sorted index's positions and ids with Python's sort of the
+rows, and extraction with the stored rows; a sample of panels also
 round-trips through the index file. Deterministic for a fixed seed. The
 checks raise ``SelftestFailure`` explicitly, so they still run under
 ``python -O``.
@@ -139,13 +140,18 @@ def _check_panel(rng: np.random.Generator, p: Panel, do_io: bool):
             _check(i == pos[r][j - 2], "back_step mismatch")
         yield 1
     ixs = build_index(p, sorted_rows=True, fore_only=True).prefix
+    rows = [r.tolist() for r in p.rows]
+    # list order puts a row before its extensions; the stable sort keeps ties in file order
+    order = sorted(range(p.h), key=rows.__getitem__)
     for pat in random_patterns(rng, p):
         got = ix.prefix.partial_prefix_search(pat)
-        want = scan_prefix_oracle(p, pat)
+        want = m, occ, _ = scan_prefix_oracle(p, pat)
         _check(got == want, f"prefix mismatch: {got} != {want} for {pat}")
-        m1, ids = ixs.enumerate_prefixed(pat)
-        _check(m1 == want[0] and len(ids) == want[1], "enumeration mismatch")
-        yield 2
+        carry = [k for k, r in enumerate(order) if rows[r][:m] == pat[:m]]
+        _check(ixs.partial_prefix_search(pat) == (m, occ, carry[0] + 1), "sorted prefix mismatch")
+        _check(ixs.enumerate_prefixed(pat) == (m, [order[k] + 1 for k in carry]),
+               "enumeration mismatch")
+        yield 3
     for i in range(1, p.h + 1):
         _check(ix.retrieval.extract(i) == [int(s) for s in p.rows[i - 1]], "extract mismatch")
         yield 1

@@ -54,7 +54,7 @@ class StepIndex:
     h: int
     w: int
     sigma: int                         # internal alphabet size
-    terminator: int | None
+    ragged: bool                       # rows end in the terminator, internal symbol 0
     col_lens: np.ndarray               # per-column height (h everywhere when fixed)
     fore_starts: np.ndarray            # stored: every column's fore sub-run starts in turn
     fore_vals: np.ndarray              # stored: their symbols
@@ -144,7 +144,7 @@ def _split_columns(starts: np.ndarray, col_lens: np.ndarray, side: str):
     return col, first, lens
 
 
-def assemble_step_index(h: int, w: int, sigma: int, terminator: int | None,
+def assemble_step_index(h: int, w: int, sigma: int, ragged: bool,
                         col_lens, fore_starts, fore_vals, back_starts) -> StepIndex:
     """Derive the step arrays from the stored ones and check them.
 
@@ -161,7 +161,7 @@ def assemble_step_index(h: int, w: int, sigma: int, terminator: int | None,
     fcol, ffirst, flen = _split_columns(fs, col_lens, "fore")
     if ((fv < 0) | (fv >= sigma)).any():
         raise ValueError("fore sub-run symbol outside the alphabet")
-    lo = 0 if terminator is None else terminator + 1
+    lo = int(ragged)
     live = fv >= lo
     if not np.array_equal(col_lens[1:], np.add.reduceat(flen * live, ffirst)[:-1]):
         raise ValueError("column lengths differ from the rows stepping into them")
@@ -247,7 +247,7 @@ def assemble_step_index(h: int, w: int, sigma: int, terminator: int | None,
                                             piece_b[pb[j]:pb[j + 1]],
                                             piece_src[pb[j]:pb[j + 1]]))
 
-    return StepIndex(h=h, w=w, sigma=sigma, terminator=terminator, col_lens=col_lens,
+    return StepIndex(h=h, w=w, sigma=sigma, ragged=ragged, col_lens=col_lens,
                      fore_starts=fs, fore_vals=fv, back_starts=bs, fore_first=fb[:-1],
                      total_runs=total_runs, fore_cols=fore_cols, back_cols=back_cols)
 
@@ -262,6 +262,6 @@ def build_step_index(pc: PbwtColumns, fore_lists: list[np.ndarray],
     """
     vals = [col[s - 1] for col, s in zip(pc.cols, fore_lists)]
     back = np.concatenate(back_lists) if back_lists else None
-    return assemble_step_index(pc.h, pc.w, pc.sigma, pc.terminator,
+    return assemble_step_index(pc.h, pc.w, pc.sigma, pc.ragged,
                                [col.size for col in pc.cols], np.concatenate(fore_lists),
                                np.concatenate(vals), back)

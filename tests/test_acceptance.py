@@ -213,8 +213,8 @@ def test_c10_serialization_round_trip(tmp_path):
             i_l, x_l = i0, lst.find_fore_subrun(1, i0)
             assert (i, x) == (i_l, x_l)
             for j in range(1, st.w):
-                if st.terminator is not None and st.symbol_at_fore(j, x) == st.terminator:
-                    assert lst.symbol_at_fore(j, x_l) == lst.terminator
+                if st.ragged and st.symbol_at_fore(j, x) == 0:
+                    assert lst.ragged and lst.symbol_at_fore(j, x_l) == 0
                     break
                 i, x = st.fore_step(i, j, x)
                 i_l, x_l = lst.fore_step(i_l, j, x_l)

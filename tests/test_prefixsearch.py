@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pbwtstep.io import build_index
 from pbwtstep.panel import Panel
 from pbwtstep.pbwt import build_pbwt
 from pbwtstep.prefixsearch import SymbolPositions, sort_panel
@@ -185,6 +186,27 @@ def test_sort_panel_matches_tuple_sort(rng):
                Panel.from_strings(["10", "01", "10", "00", "01"])]
     for p in panels:
         want = sorted(range(1, p.h + 1), key=lambda i: tuple(p.rows[i - 1].tolist()))
-        sp, ids = sort_panel(p)
+        ids = sort_panel(p)
         assert ids.tolist() == want
-        assert [r.tolist() for r in sp.rows] == [p.rows[i - 1].tolist() for i in want]
+        assert [tuple(p.rows[i - 1].tolist()) for i in ids] == \
+            sorted(tuple(r.tolist()) for r in p.rows)
+
+
+def test_sorted_build_equals_build_of_presorted_panel(rng):
+    # the PBWT started from the lexicographic order on the file's rows is the
+    # PBWT of the sorted panel with file ids for sorted positions, so the
+    # index is the presorted panel's, whose rows are numbered by position
+    panels = [rand_panel(rng, ragged=k % 2 == 1) for k in range(58)]
+    panels += [Panel.from_rows([[1, 0], [], [0], [1], [], [0, 0], [1, 0]], ragged=True),
+               Panel.from_strings(["10", "01", "10", "00", "01"])]
+    for p in panels:
+        ids = sort_panel(p)
+        want = sorted(range(1, p.h + 1), key=lambda i: tuple(p.rows[i - 1].tolist()))
+        presorted = Panel.from_rows([p.rows[i - 1] for i in want], sigma=p.sigma,
+                                    ragged=p.ragged)
+        got, ref = build_index(p, sorted_rows=True), build_index(presorted)
+        for name in ("col_lens", "fore_starts", "fore_vals", "back_starts"):
+            assert np.array_equal(getattr(got.step, name), getattr(ref.step, name)), name
+        assert np.array_equal(got.prefix.pa_at_start, ref.prefix.pa_at_start)
+        for pa, ref_pa in zip(build_pbwt(p, ids).pas, build_pbwt(presorted).pas):
+            assert pa.tolist() == ids[ref_pa - 1].tolist()

@@ -81,7 +81,7 @@ def test_tuple_lists_capped_and_tiling(rng):
             for j in range(1, pc.w):
                 fc = st.fore_cols[j - 1]
                 for t, b in enumerate(fore[j - 1].tolist()):
-                    if st.terminator is not None and fc.vals[t] == st.terminator:
+                    if st.ragged and fc.vals[t] == 0:
                         assert fc.nquints[t] == 0
                         continue
                     assert 1 <= fc.nquints[t] <= 3
@@ -159,6 +159,6 @@ def test_ragged_back_total_fore_partial(rng):
         for j in range(1, pc.w):
             for i in range(1, pc.col_len(j) + 1):
                 x = st.find_fore_subrun(j, i)
-                if st.symbol_at_fore(j, x) == st.terminator:
+                if st.ragged and st.symbol_at_fore(j, x) == 0:
                     continue
                 assert st.fore_step(i, j, x)[0] == int(fore_t[j - 1][i - 1])
