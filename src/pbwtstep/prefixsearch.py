@@ -55,7 +55,7 @@ class SymbolPositions:
 @dataclass
 class PrefixSearchIndex:
     step: StepIndex
-    pa_at_start: np.ndarray            # row at each sub-run start of step.fore_starts
+    pa_at_start: np.ndarray            # row at each fore sub-run start (sorted position if sorted)
     orig_ids: np.ndarray | None        # sorted position -> original row id; None when unsorted
     rank_select: list[SymbolPositions] = field(init=False, repr=False)
 
