@@ -12,9 +12,9 @@ from .bounds import BoundsReport, adjacent_distinct_pairs, canonical_intervals, 
 from .io import IndexFile, IndexFormatError, build_index, load_index, load_panel, save_index
 from .panel import Panel, PanelError, validate_panel
 from .pbwt import PbwtColumns, build_pbwt, extract_runs
-from .prefixsearch import PrefixSearchIndex, SymbolPositions
+from .prefixsearch import PrefixSearchIndex
 from .retrieval import RetrievalIndex
-from .stepindex import BackStepColumn, ForeStepColumn, StepIndex, build_step_index
+from .stepindex import StepIndex, build_step_index
 from .subruns import build_back_subruns, build_fore_subruns, fore_image, normalize
 
 __version__ = "0.1.0"
@@ -23,8 +23,7 @@ __all__ = [
     "BoundsReport", "adjacent_distinct_pairs", "canonical_intervals", "check_bounds",
     "IndexFile", "IndexFormatError", "build_index", "load_index", "load_panel",
     "save_index", "Panel", "PanelError", "validate_panel", "PbwtColumns",
-    "build_pbwt", "extract_runs", "PrefixSearchIndex", "SymbolPositions",
-    "RetrievalIndex", "BackStepColumn", "ForeStepColumn", "StepIndex",
-    "build_step_index", "build_back_subruns", "build_fore_subruns", "fore_image",
+    "build_pbwt", "extract_runs", "PrefixSearchIndex", "RetrievalIndex",
+    "StepIndex", "build_step_index", "build_back_subruns", "build_fore_subruns", "fore_image",
     "normalize", "__version__",
 ]

@@ -90,14 +90,11 @@ def main(argv=None) -> int:
         if args.cmd == "prefix":
             ix = load_index(args.index)
             pattern = parse_pattern(args.pattern, ix.panel_format)
-            if args.enumerate_ids:
-                m_prime, ids = ix.prefix.enumerate_prefixed(pattern)
-                _, occ, witness = ix.prefix.partial_prefix_search(pattern)
-                print(f"m'={m_prime} occ={occ} index={witness}")
+            m_prime, occ, witness = ix.prefix.partial_prefix_search(pattern)
+            ids = ix.prefix.row_ids(witness, occ) if args.enumerate_ids else None
+            print(f"m'={m_prime} occ={occ} index={witness}")
+            if ids is not None:
                 print("ids=" + ",".join(map(str, ids)))
-            else:
-                m_prime, occ, witness = ix.prefix.partial_prefix_search(pattern)
-                print(f"m'={m_prime} occ={occ} index={witness}")
             return 0
 
         if args.cmd == "extract":

@@ -123,7 +123,7 @@ class IndexFile:
 
     @property
     def fore_only(self) -> bool:
-        return self.step.back_cols is None
+        return self.step.back_starts is None
 
     @property
     def h(self) -> int:

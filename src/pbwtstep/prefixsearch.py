@@ -2,9 +2,9 @@
 
 The index adds the prefix-array entry at every forward sub-run start to the
 step index, which supplies each sub-run's symbol and that symbol's running
-count. Rank/select over the per-column symbol arrays then locates the
+count. Bisects over its flat (column, symbol, position) order locate the
 first/last occurrence of a pattern symbol inside the current match interval,
-and forward steps advance both ends in O(1).
+and forward steps on the flat tables advance both ends in O(1).
 
 A query returns the longest prefix of the pattern shared with any row, how
 many rows carry it, and the smallest such row id.
@@ -12,7 +12,9 @@ many rows carry it, and the smallest such row id.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -21,35 +23,25 @@ from .pbwt import internal_matrix
 from .stepindex import StepIndex
 
 
-class SymbolPositions:
-    """Rank/select over a short symbol array via per-symbol position lists."""
+class _ColumnRankSelect:
+    """Rank/select over column j's fore sub-run symbols, for the benchmark's probe."""
 
-    def __init__(self, vals: np.ndarray):
-        self.n = int(vals.size)
-        # a stable sort leaves each symbol's positions in ascending order;
-        # slicing beats np.split on the many columns with few sub-runs
-        order = np.argsort(vals, kind="stable")
-        srt = vals[order]
-        bounds = [0, *(np.flatnonzero(srt[1:] != srt[:-1]) + 1).tolist(), self.n]
-        pos1 = order + 1
-        self.pos: dict[int, np.ndarray] = {
-            int(srt[a]): pos1[a:b] for a, b in zip(bounds, bounds[1:]) if a < b}
+    def __init__(self, step: StepIndex, j: int):
+        self.run, self.by_symbol = partial(step.symbol_run, j), step.mv.by_symbol
+        self.first = step.mv.fore_first[j - 1]
+        self.n = step.mv.fore_first[j] - self.first
 
     def rank(self, c: int, x: int) -> int:
         """Occurrences of c among positions 1..x."""
-        arr = self.pos.get(c)
-        if arr is None:
-            return 0
-        return int(np.searchsorted(arr, x, side="right"))
+        a, b = self.run(c)
+        return bisect_right(self.by_symbol, self.first + x - 1, a, b) - a
 
     def select(self, c: int, k: int) -> int:
         """Position of the k-th occurrence of c (k >= 1); n+1 past the last."""
         if k < 1:
             raise ValueError(f"select index {k} < 1")
-        arr = self.pos.get(c)
-        if arr is None or k > arr.size:
-            return self.n + 1
-        return int(arr[k - 1])
+        a, b = self.run(c)
+        return self.by_symbol[a + k - 1] - self.first + 1 if k <= b - a else self.n + 1
 
 
 @dataclass
@@ -57,10 +49,9 @@ class PrefixSearchIndex:
     step: StepIndex
     pa_at_start: np.ndarray            # row at each fore sub-run start (sorted position if sorted)
     orig_ids: np.ndarray | None        # sorted position -> original row id; None when unsorted
-    rank_select: list[SymbolPositions] = field(init=False, repr=False)
 
     def __post_init__(self):
-        """Check the samples against the step index; build rank/select."""
+        """Check the samples and the ids against the step index."""
         pa, h = self.pa_at_start, self.step.h
         if pa.size != self.step.fore_starts.size or ((pa < 1) | (pa > h)).any():
             raise ValueError("prefix-array samples do not fit the step index")
@@ -68,7 +59,11 @@ class PrefixSearchIndex:
         if ids is not None and (ids.size != h or
                                 not np.array_equal(np.sort(ids), np.arange(1, h + 1))):
             raise ValueError("stored row ids are not a permutation of 1..h")
-        self.rank_select = [SymbolPositions(fc.vals) for fc in self.step.fore_cols]
+        self._pa = memoryview(pa)
+
+    @cached_property
+    def rank_select(self) -> list[_ColumnRankSelect]:
+        return [_ColumnRankSelect(self.step, j) for j in range(1, self.w + 1)]
 
     @property
     def h(self) -> int:
@@ -100,56 +95,49 @@ class PrefixSearchIndex:
         pat = [int(c) for c in pattern]
         if any(c < 0 for c in pat):
             raise ValueError("pattern symbols must be non-negative")
-        if self.step.ragged:
-            pat = [c + 1 for c in pat]
         st = self.step
+        if st.ragged:
+            pat = [c + 1 for c in pat]
+        m = st.mv
+        sym, start, end, delta, lam, by_sym = (m.fore_vals, m.fore_starts, m.fore_ends,
+                                               m.fore_delta, m.fore_lam, m.by_symbol)
         m_eff = min(len(pat), st.w)
-        b, e = 1, int(st.col_lens[0])
-        x, xp = 1, st.fore_cols[0].starts.size
-        witness = int(self.pa_at_start[0])
-        j = 1
-        full = False
-        while j <= m_eff:
-            c = pat[j - 1]
+        # rows b..e of the current column match pat[:j]; they lie in flat sub-runs g..gp
+        b, e, g, gp, j, witness = 1, st.h, 0, m.fore_first[1] - 1, 0, self._pa[0]
+        while j < m_eff:
+            c = pat[j]
             if c >= st.sigma:
                 break
-            fc = st.fore_cols[j - 1]
-            rs = self.rank_select[j - 1]
-            # first occurrence of c at or after b within [b, e]
-            if int(fc.vals[x - 1]) == c:
-                bt, xt, moved = b, x, False
-            else:
-                xt = rs.select(c, rs.rank(c, x) + 1)
-                if xt > rs.n:
+            if sym[g] != c or sym[gp] != c:
+                lo, hi = st.symbol_run(j + 1, c)
+            if sym[g] != c:
+                # the first sub-run of c at or after g must start inside the interval
+                p = bisect_left(by_sym, g, lo, hi)
+                if p == hi or start[by_sym[p]] > e:
                     break
-                bt = int(fc.starts[xt - 1])
-                if bt > e:
-                    break
-                moved = True
-            # last occurrence of c within [b, e]
-            if int(fc.vals[xp - 1]) == c:
-                et, xtp = e, xp
-            else:
-                xtp = rs.select(c, rs.rank(c, xp))
-                et = st.fore_subrun_end(j, xtp)
-            if moved:
-                witness = int(self.pa_at_start[st.fore_first[j - 1] + xt - 1])
-            if j < m_eff:
-                b, x = st.fore_step(bt, j, xt)
-                e, xp = st.fore_step(et, j, xtp)
-            else:
-                b, x, e, xp = bt, xt, et, xtp
-                full = True
+                g = by_sym[p]
+                b = start[g]
+                witness = self._pa[g]
+            if sym[gp] != c:
+                # the last sub-run of c at or before gp; g holds c, so there is one
+                gp = by_sym[bisect_right(by_sym, gp, lo, hi) - 1]
+                e = end[gp] - 1
             j += 1
-        m_prime = j - 1
-        if m_prime == 0:
+            if j < m_eff:
+                b += delta[g]
+                g = lam[g]
+                while end[g] <= b:
+                    g += 1
+                e += delta[gp]
+                gp = lam[gp]
+                while end[gp] <= e:
+                    gp += 1
+        if j == 0:
             return 0, self.h, 1
-        if full:
-            fc = st.fore_cols[m_eff - 1]
-            count1 = int(fc.rank_at_start[x - 1]) + b - int(fc.starts[x - 1])
-            count2 = int(fc.rank_at_start[xp - 1]) + e - int(fc.starts[xp - 1])
-            return m_prime, count2 - count1 + 1, witness
-        return m_prime, e - b + 1, witness
+        if j == m_eff:
+            # b and e hold c in the pattern's last column: count the c rows between
+            return j, m.fore_rank[gp] + e - start[gp] - m.fore_rank[g] - b + start[g] + 1, witness
+        return j, e - b + 1, witness
 
     def prefix_search_sorted(self, pattern) -> tuple[int, tuple[int, int]]:
         """Longest shared prefix length and the sorted-row interval carrying it."""
@@ -158,13 +146,17 @@ class PrefixSearchIndex:
         m_prime, occ, witness = self.partial_prefix_search(pattern)
         return m_prime, (witness, witness + occ - 1)
 
+    def row_ids(self, witness: int, occ: int) -> list[int]:
+        """Original ids of the ``occ`` sorted rows from position ``witness`` on."""
+        if self.orig_ids is None:
+            raise ValueError("index was not built with the id permutation")
+        return self.orig_ids[witness - 1:witness + occ - 1].tolist()
+
     def enumerate_prefixed(self, pattern) -> tuple[int, list[int]]:
         """Longest shared prefix length and the original ids of all rows
         carrying it, in sorted-position order."""
-        if self.orig_ids is None:
-            raise ValueError("index was not built with the id permutation")
-        m_prime, (lo, hi) = self.prefix_search_sorted(pattern)
-        return m_prime, self.orig_ids[lo - 1:hi].tolist()
+        m_prime, occ, witness = self.partial_prefix_search(pattern)
+        return m_prime, self.row_ids(witness, occ)
 
 
 def assemble_prefix_index(pc, step: StepIndex,
@@ -174,7 +166,8 @@ def assemble_prefix_index(pc, step: StepIndex,
     The samples are file row ids; a sorted index (``orig_ids``: file ids in
     sorted order) numbers rows by sorted position, so it maps them through the
     inverse permutation, which is the argsort of ``orig_ids``."""
-    samples = [pa[fc.starts - 1] for pa, fc in zip(pc.pas, step.fore_cols)]
+    f = step.fore_first.tolist()
+    samples = [pa[step.fore_starts[a:b] - 1] for pa, a, b in zip(pc.pas, f, f[1:])]
     pa_at_start = np.concatenate(samples).astype(np.int64)
     if orig_ids is not None:
         pa_at_start = np.argsort(orig_ids)[pa_at_start - 1] + 1

@@ -3,7 +3,8 @@
 Column 1 of the prefix array is the identity, so row i sits at position i
 there; a predecessor query over the first column's sub-run starts locates the
 initial sub-run, after which one symbol access and one forward step per
-column reproduce the row. The panel itself is never stored.
+column reproduce the row, read from the step index's flat tables. The panel
+itself is never stored.
 """
 
 from __future__ import annotations
@@ -31,15 +32,19 @@ class RetrievalIndex:
         if not 1 <= i <= self.h:
             raise ValueError(f"row {i} out of range [1..{self.h}]")
         st = self.step
-        shift = int(st.ragged)
-        x = st.find_fore_subrun(1, i)
-        cur = i
-        out: list[int] = []
-        for j in range(1, st.w + 1):
-            c = st.symbol_at_fore(j, x)
+        m, shift = st.mv, int(st.ragged)
+        sym, delta, lam, end = m.fore_vals, m.fore_delta, m.fore_lam, m.fore_ends
+        g, out = st.find_fore_subrun(1, i) - 1, []
+        for _ in range(st.w - 1):
+            c = sym[g]
             if c < shift:
-                break
+                return out
             out.append(c - shift)
-            if j < st.w:
-                cur, x = st.fore_step(cur, j, x)
+            i += delta[g]
+            g = lam[g]
+            while end[g] <= i:
+                g += 1
+        c = sym[g]
+        if c >= shift:
+            out.append(c - shift)
         return out

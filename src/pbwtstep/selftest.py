@@ -108,9 +108,10 @@ def _check_panel(rng: np.random.Generator, p: Panel, do_io: bool):
     _check(step.back_starts.size < 2 * pc.total_runs, "back sub-run bound violated")
     _check(step.fore_starts.size < 2 * pc.total_runs, "fore sub-run bound violated")
     yield 2
-    for runs, bc, fc in zip(pc.runs, step.back_cols, step.fore_cols):
-        _check(np.isin(runs, bc.starts).all() and np.isin(runs, fc.starts).all(),
-               "a sub-run crosses a run boundary")
+    fs, ff, bf = step.fore_starts, step.fore_first.tolist(), step.back_first.tolist()
+    for j, runs in enumerate(pc.runs):
+        _check(np.isin(runs, step.back_starts[bf[j]:bf[j + 1]]).all()
+               and np.isin(runs, fs[ff[j]:ff[j + 1]]).all(), "a sub-run crosses a run boundary")
         yield 1
     # pos[r][j - 1]: 1-based position of row r + 1 in column j's prefix array
     pos = np.zeros((p.h, pc.w), np.int64)
@@ -126,7 +127,8 @@ def _check_panel(rng: np.random.Generator, p: Panel, do_io: bool):
                 break
             i, x = step.fore_step(i, j, x)
             _check(i == pos[r][j], "fore_step mismatch")
-            _check(step.fore_cols[j].starts[x - 1] <= i <= step.fore_subrun_end(j + 1, x),
+            g = ff[j] + x - 1
+            _check(1 <= x <= ff[j + 1] - ff[j] and fs[g] <= i < step.fore_ends[g],
                    "fore_step left its sub-run")
         yield 1
     for r in range(p.h):

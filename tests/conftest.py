@@ -51,6 +51,13 @@ def rand_panel(rng, h_max=16, w_max=12, sigma_max=4, ragged=False):
     return Panel.from_rows(row_list, sigma=sigma, ragged=ragged)
 
 
+def in_subrun(first, starts, ends, j, x, i):
+    """Whether row i lies in sub-run x of column j of a step index's flat
+    tables (``first``: each column's first flat index, then the count)."""
+    g = first[j - 1] + x - 1
+    return 1 <= x <= first[j] - first[j - 1] and starts[g] <= i < ends[g]
+
+
 def prefix_index(p: Panel, sorted_rows=False):
     """The prefix-search part of a forward-only index."""
     return build_index(p, sorted_rows=sorted_rows, fore_only=True).prefix

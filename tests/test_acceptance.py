@@ -16,9 +16,9 @@ from pbwtstep.pbwt import build_pbwt
 from pbwtstep.stepindex import build_step_index
 from pbwtstep.subruns import build_back_subruns, build_fore_subruns, normalize
 
-from conftest import (build_pbwt_reference, pattern_battery, pos_lookup_back, pos_lookup_fore,
-                      prefix_index, rand_panel, rand_partition, retrieval_index, scan_prefix,
-                      starts_of)
+from conftest import (build_pbwt_reference, in_subrun, pattern_battery, pos_lookup_back,
+                      pos_lookup_fore, prefix_index, rand_panel, rand_partition, retrieval_index,
+                      scan_prefix, starts_of)
 import test_golden_fixtures as golden
 
 
@@ -101,16 +101,14 @@ def test_c04_stepping_oracle_equivalence(corpus):
             for j in range(1, pc.w):
                 i2, x2 = st.fore_step(i, j, x)
                 assert i2 == int(fore_t[j - 1][i - 1])
-                assert st.fore_cols[j].starts[x2 - 1] <= i2 \
-                    <= st.fore_subrun_end(j + 1, x2)
+                assert in_subrun(st.fore_first, st.fore_starts, st.fore_ends, j + 1, x2, i2)
                 i, x = i2, x2
                 steps += 1
             i, x = i0, st.find_back_subrun(pc.w, i0)
             for j in range(pc.w, 1, -1):
                 i2, x2 = st.back_step(i, j, x)
                 assert i2 == int(back_t[j - 1][i - 1])
-                assert st.back_cols[j - 2].starts[x2 - 1] <= i2 \
-                    <= st.back_subrun_end(j - 1, x2)
+                assert in_subrun(st.back_first, st.back_starts, st.back_ends, j - 1, x2, i2)
                 i, x = i2, x2
                 steps += 1
     elapsed = time.perf_counter() - t0

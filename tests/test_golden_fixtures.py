@@ -61,12 +61,12 @@ def test_back_subrun_refinement():
 def test_back_quadruples_and_step():
     pc = build_pbwt(PANEL_A)
     st = build_step_index(pc, build_fore_subruns(pc), [BACK_PREV, BACK_CUR])
-    bc = st.back_cols[1]
+    g = st.back_first[1] + 2                   # sub-run 3 of column 2
     # sub-run [6,10] overlaps the images of column-1 sub-runs 1, 7 and 8
-    assert int(bc.nquads[2]) == 3
-    p = int(bc.first_piece[2])
-    assert bc.piece_b[p:p + 3].tolist() == [6, 8, 10]
-    assert bc.piece_src[p:p + 3].tolist() == [1, 7, 8]
+    assert int(st.back_nq[g]) == 3
+    p = int(st.first_piece[g])
+    assert st.piece_starts[p:p + 3].tolist() == [6, 8, 10]
+    assert (st.piece_src[p:p + 3] - st.back_first[0] + 1).tolist() == [1, 7, 8]
     assert st.back_step(7, 2, 3) == (2, 1)
 
 
@@ -96,9 +96,9 @@ def test_back_map_example():
 def test_fore_quintuples_and_step():
     pc = build_pbwt(PANEL_B)
     st = build_step_index(pc, build_fore_subruns(pc), [])
-    fc = st.fore_cols[0]
+    g = st.fore_first[0] + 3                   # sub-run 4 of column 1
     # sub-run [11,15] maps onto [6,10], which column-2 sub-runs 4, 5 and 6 cover
-    assert int(fc.image_b[3]) == 6
-    assert int(fc.first_lam[3]) == 4
-    assert int(fc.nquints[3]) == 3
+    assert int(st.fore_starts[g] + st.fore_delta[g]) == 6
+    assert int(st.fore_lam[g] - st.fore_first[1]) + 1 == 4
+    assert int(st.fore_nq[g]) == 3
     assert st.fore_step(14, 1, 4) == (9, 5)

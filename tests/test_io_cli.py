@@ -326,18 +326,15 @@ def test_loaded_tables_equal_built(rng, tmp_path):
             save_index(str(path), ix)
             loaded = load_index(str(path))
             st, lst = ix.step, loaded.step
-            assert (lst.total_runs, lst.fore_first) == (st.total_runs, st.fore_first)
             assert np.array_equal(loaded.prefix.pa_at_start, ix.prefix.pa_at_start)
             assert loaded.prefix.pa_at_start.dtype == ix.prefix.pa_at_start.dtype
-            pairs = list(zip(st.fore_cols, lst.fore_cols))
-            assert (st.back_cols is None) == (lst.back_cols is None) == ix.fore_only
-            if st.back_cols is not None:
-                pairs += list(zip(st.back_cols, lst.back_cols))
-            for built, got in pairs:
-                for f in dataclasses.fields(built):
-                    a, b = getattr(built, f.name), getattr(got, f.name)
-                    assert (a is None and b is None) or np.array_equal(a, b), f.name
-                    assert getattr(a, "dtype", None) == getattr(b, "dtype", None), f.name
+            assert (st.back_starts is None) == (lst.back_starts is None) == ix.fore_only
+            for f in dataclasses.fields(st):
+                a, b = getattr(st, f.name), getattr(lst, f.name)
+                if isinstance(a, np.ndarray):
+                    assert np.array_equal(a, b) and a.dtype == b.dtype, f.name
+                else:
+                    assert a == b, f.name
 
 
 def test_trailing_bytes_rejected(rng, tmp_path):
@@ -391,6 +388,29 @@ def test_cli_prefix_enumerate(panel_file, tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "m'=1 occ=2 index=1"
     assert out[1] == "ids=3,1"
+
+
+def test_cli_enumerate_matches_two_call_form(tmp_path, capsys):
+    # the one-search --enumerate output equals enumerate_prefixed's ids under
+    # partial_prefix_search's line, on a sorted fixed-length and a sorted ragged index
+    panel, idx = tmp_path / "p.txt", str(tmp_path / "p.idx")
+    for text, flags in (("0110\n1010\n0111\n0010\n1110\n", []),
+                        ("01\n0\n011\n10\n0110\n", ["--ragged"])):
+        panel.write_text(text)
+        assert main(["build", str(panel), "-o", idx, "--sorted"] + flags) == 0
+        ix = load_index(idx).prefix
+        capsys.readouterr()
+        for text_pat in ("", "0", "01", "011", "0110", "01101", "1", "10", "2"):
+            pat = parse_pattern(text_pat, "digits")
+            m_prime, ids = ix.enumerate_prefixed(pat)
+            _, occ, witness = ix.partial_prefix_search(pat)
+            assert main(["prefix", idx, text_pat, "--enumerate"]) == 0
+            assert capsys.readouterr().out == (f"m'={m_prime} occ={occ} index={witness}\n"
+                                               f"ids={','.join(map(str, ids))}\n")
+    assert main(["build", str(panel), "-o", idx, "--ragged"]) == 0
+    capsys.readouterr()
+    assert main(["prefix", idx, "0", "--enumerate"]) == 3     # unsorted: refused, no output
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_empty_pattern(panel_file, tmp_path, capsys):

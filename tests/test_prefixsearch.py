@@ -1,10 +1,13 @@
+from bisect import bisect_left, bisect_right
+
 import numpy as np
 import pytest
 
 from pbwtstep.io import build_index
 from pbwtstep.panel import Panel
 from pbwtstep.pbwt import build_pbwt
-from pbwtstep.prefixsearch import SymbolPositions, sort_panel
+from pbwtstep.prefixsearch import PrefixSearchIndex, sort_panel
+from pbwtstep.stepindex import assemble_step_index
 
 from conftest import pattern_battery, prefix_index, rand_panel, scan_prefix
 
@@ -75,33 +78,52 @@ def test_pattern_longer_than_width():
 
 
 def test_rank_select_examples():
-    rs = SymbolPositions(np.array([1, 0, 0]))
+    # one column whose fore sub-runs hold the symbols 1, 0, 0
+    st = assemble_step_index(3, 1, 2, False, [3], [1, 2, 3], [1, 0, 0], None)
+    rs = PrefixSearchIndex(st, np.array([1, 2, 3]), None).rank_select[0]
+    assert rs.n == 3
     assert rs.rank(0, 3) == 2
     assert rs.select(0, 3) == 4        # one past the end
     assert rs.select(1, 1) == 1
     assert rs.rank(5, 3) == 0
     assert rs.select(5, 1) == 4
+    assert st.symbol_run(1, 5) == (0, 0)
     with pytest.raises(ValueError):
         rs.select(0, 0)
-    empty = SymbolPositions(np.array([], np.int64))
-    assert empty.rank(0, 1) == 0 and empty.select(0, 1) == 1
+
+
+def _next_and_last(st, j, c, x):
+    """Prefix search's two bisects: column j's first sub-run of c at or after
+    position x and its last at or before x, 1-based, None when there is none."""
+    a, (lo, hi) = int(st.fore_first[j - 1]), st.symbol_run(j, c)
+    by = st.mv.by_symbol
+    p, q = bisect_left(by, a + x - 1, lo, hi), bisect_right(by, a + x - 1, lo, hi) - 1
+    return by[p] - a + 1 if p < hi else None, by[q] - a + 1 if q >= lo else None
 
 
 def test_rank_select_against_scan(rng):
-    for _ in range(100):
-        n = int(rng.integers(1, 40))
-        vals = rng.integers(0, 5, size=n)
-        rs = SymbolPositions(vals)
-        for c in range(6):
-            for x in range(1, n + 1):
-                assert rs.rank(c, x) == int(np.count_nonzero(vals[:x] == c))
-            total = int(np.count_nonzero(vals == c))
-            for k in range(1, total + 2):
-                pos = rs.select(c, k)
-                if k <= total:
-                    assert vals[pos - 1] == c and rs.rank(c, pos) == k
-                else:
-                    assert pos == n + 1
+    # every column of random panels; symbols up to sigma + 1 include absent ones
+    single = absent = 0
+    for _ in range(80):
+        p = rand_panel(rng, ragged=bool(rng.integers(0, 2)))
+        ix = prefix_index(p)
+        st = ix.step
+        for j in range(1, st.w + 1):
+            vals = st.fore_vals[st.fore_first[j - 1]:st.fore_first[j]]
+            rs = ix.rank_select[j - 1]
+            assert rs.n == vals.size
+            single += vals.size == 1
+            for c in range(st.sigma + 2):
+                hits = np.flatnonzero(vals == c) + 1
+                absent += hits.size == 0
+                for x in range(1, vals.size + 1):
+                    after, upto = hits[hits >= x].tolist(), hits[hits <= x].tolist()
+                    assert _next_and_last(st, j, c, x) == (after[0] if after else None,
+                                                           upto[-1] if upto else None)
+                    assert rs.rank(c, x) == len(upto)
+                for k in range(1, hits.size + 2):
+                    assert rs.select(c, k) == (hits[k - 1] if k <= hits.size else vals.size + 1)
+    assert single and absent
 
 
 def test_rank_sym_select_sym_wrappers():
@@ -111,6 +133,25 @@ def test_rank_sym_select_sym_wrappers():
     c = int(vals[0])
     assert rs.rank(c, len(vals)) == int(np.count_nonzero(vals == c))
     assert rs.select(c, 1) == int(np.flatnonzero(vals == c)[0]) + 1
+
+
+def test_huge_symbols():
+    # sigma = 2^62 - 1, where a column * sigma + symbol key would overflow int64
+    big = 2**62 - 2
+    rows = [[0, 5, big, 0], [big, 5, 0, 0], [0, 5, big, 5], [big, big, 0, 5], [0, 0, big, 0]]
+    # 5 is absent from columns 1 and 3, and 0 from column 2 under the rows starting with big
+    pats = [[0, 5, big], [big, big, 0, 5], [0, 5, 5], [5], [big, 5, 0, 0], [0, 0, big, 0, 1],
+            [big, 0]]
+    p = Panel.from_rows([np.array(r, np.int64) for r in rows])
+    # a sorted index numbers rows by sorted position, as a scan of the sorted rows does
+    by_pos = Panel.from_rows([np.array(r, np.int64) for r in sorted(rows)])
+    assert p.sigma == by_pos.sigma == 2**62 - 1
+    for sorted_rows, oracle in ((False, p), (True, by_pos)):
+        ix = build_index(p, sorted_rows=sorted_rows)
+        for pat in pats:
+            assert ix.prefix.partial_prefix_search(pat) == scan_prefix(oracle, pat)
+        for i in range(1, p.h + 1):
+            assert ix.retrieval.extract(i) == oracle.rows[i - 1].tolist()
 
 
 def test_matches_scan_oracle(rng):

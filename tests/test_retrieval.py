@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -28,21 +30,29 @@ def test_full_panel_round_trip(rng):
 
 
 class _CountingStep:
+    """A step index whose flat step and symbol tables count their reads:
+    ``fore_calls`` reads of ``fore_delta``, one per forward step, and
+    ``symbol_calls`` reads of ``fore_vals``, one per symbol access."""
+
     def __init__(self, inner):
         self.inner = inner
         self.fore_calls = 0
         self.symbol_calls = 0
+        self.mv = SimpleNamespace(**vars(inner.mv))
+        self.mv.fore_delta = _CountedReads(inner.mv.fore_delta, self, "fore_calls")
+        self.mv.fore_vals = _CountedReads(inner.mv.fore_vals, self, "symbol_calls")
 
     def __getattr__(self, name):
         return getattr(self.inner, name)
 
-    def fore_step(self, i, j, x):
-        self.fore_calls += 1
-        return self.inner.fore_step(i, j, x)
 
-    def symbol_at_fore(self, j, x):
-        self.symbol_calls += 1
-        return self.inner.symbol_at_fore(j, x)
+class _CountedReads:
+    def __init__(self, table, counter, field):
+        self.table, self.counter, self.field = table, counter, field
+
+    def __getitem__(self, k):
+        setattr(self.counter, self.field, getattr(self.counter, self.field) + 1)
+        return self.table[k]
 
 
 def test_extract_work_is_one_pass(rng):

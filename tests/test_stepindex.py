@@ -5,7 +5,7 @@ from pbwtstep.pbwt import build_pbwt
 from pbwtstep.stepindex import build_step_index
 from pbwtstep.subruns import build_back_subruns, build_fore_subruns
 
-from conftest import pos_lookup_back, pos_lookup_fore, rand_panel
+from conftest import in_subrun, pos_lookup_back, pos_lookup_fore, rand_panel
 
 SMALL = Panel.from_strings(["01", "10", "00"])
 
@@ -38,13 +38,13 @@ def test_chains_match_position_lookup(rng):
             for j in range(1, pc.w):
                 i2, x2 = st.fore_step(i, j, x)
                 assert i2 == int(fore_t[j - 1][i - 1])
-                assert st.fore_cols[j].starts[x2 - 1] <= i2 <= st.fore_subrun_end(j + 1, x2)
+                assert in_subrun(st.fore_first, st.fore_starts, st.fore_ends, j + 1, x2, i2)
                 i, x = i2, x2
             i, x = i0, st.find_back_subrun(pc.w, i0)
             for j in range(pc.w, 1, -1):
                 i2, x2 = st.back_step(i, j, x)
                 assert i2 == int(back_t[j - 1][i - 1])
-                assert st.back_cols[j - 2].starts[x2 - 1] <= i2 <= st.back_subrun_end(j - 1, x2)
+                assert in_subrun(st.back_first, st.back_starts, st.back_ends, j - 1, x2, i2)
                 i, x = i2, x2
 
 
@@ -85,8 +85,11 @@ def test_tuple_lists_capped_and_tiling(rng):
                         assert fc.nquints[t] == 0
                         continue
                     assert 1 <= fc.nquints[t] <= 3
-                    assert fc.image_b[t] == fore_t[j - 1][b - 1]
-                    assert fc.first_lam[t] == st.find_fore_subrun(j + 1, int(fc.image_b[t]))
+                    g = st.fore_first[j - 1] + t
+                    image = b + int(st.fore_delta[g])
+                    assert image == fore_t[j - 1][b - 1]
+                    lam = st.fore_lam[g] - st.fore_first[j] + 1
+                    assert lam == st.find_fore_subrun(j + 1, image)
 
 
 def test_symbol_access(rng):
