@@ -83,7 +83,8 @@ def parse_panel_text(text: str, fmt: str = "auto", ragged: bool = False) -> tupl
 
 
 def load_panel(path: str, fmt: str = "auto", ragged: bool = False) -> tuple[Panel, str]:
-    with open(path, "r", encoding="ascii") as fh:
+    # a non-ASCII byte becomes U+FFFD: skipped in a comment, malformed in a row
+    with open(path, "r", encoding="ascii", errors="replace") as fh:
         return parse_panel_text(fh.read(), fmt=fmt, ragged=ragged)
 
 
@@ -95,7 +96,7 @@ def parse_pattern(text: str, fmt: str) -> list[int]:
             raise ValueError(text)
         if fmt == "digits":
             return [int(ch) for ch in text.strip()]
-        return [int(tok) for tok in text.replace(",", " ").split()]
+        return [int(tok) for tok in text.split()]
     except ValueError as exc:
         raise PanelError(f"malformed pattern {text!r}") from exc
 

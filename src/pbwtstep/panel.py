@@ -10,7 +10,7 @@ the whole-panel passes (PBWT, row sort) read it by column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
@@ -47,7 +47,6 @@ class Panel:
     lens: np.ndarray
     sigma: int
     ragged: bool = False
-    sigma_inferred: bool = field(default=False, repr=False)
 
     def __post_init__(self):
         validate_panel(self)
@@ -58,9 +57,8 @@ class Panel:
         arrs = [np.asarray(r, dtype=np.int64) for r in rows]
         lens = np.fromiter(map(len, arrs), np.int64, len(arrs))
         flat = np.concatenate(arrs) if arrs else np.zeros(0, np.int64)
-        inferred = sigma is None
-        sigma = max(int(flat.max(initial=-1)), 0) + 1 if inferred else int(sigma)
-        return cls(_matrix(flat, lens), lens, sigma, ragged, inferred)
+        sigma = max(int(flat.max(initial=-1)), 0) + 1 if sigma is None else int(sigma)
+        return cls(_matrix(flat, lens), lens, sigma, ragged)
 
     @classmethod
     def from_strings(cls, rows: Sequence[str], sigma: int | None = None,
@@ -73,9 +71,8 @@ class Panel:
         if bad.size:
             k = int(np.searchsorted(np.cumsum(lens), bad[0], side="right"))
             raise PanelError(f"malformed line {k + 1}: {rows[k]!r}")
-        inferred = sigma is None
-        sigma = int(digits.max(initial=0)) + 1 if inferred else int(sigma)
-        return cls(_matrix(digits, lens), lens, sigma, ragged, inferred)
+        sigma = int(digits.max(initial=0)) + 1 if sigma is None else int(sigma)
+        return cls(_matrix(digits, lens), lens, sigma, ragged)
 
     @property
     def h(self) -> int:

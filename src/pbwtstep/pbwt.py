@@ -12,8 +12,8 @@ column j only lists rows still alive there. A forward step (the LF-mapping)
 moves a row to its position in column j+1's prefix array; it is undefined on
 terminator positions, while the backward step to column j-1 is always defined.
 ``cols`` and ``pas`` use the smallest unsigned dtype that holds the internal
-alphabet and h. Forward targets are kept only at run starts (``run_targets``):
-a run of c at s goes to C[c] + rank_c(s), and its other rows follow in order.
+alphabet and h. No forward targets are kept: a row holding c at s goes to
+C[c] + rank_c(s), which ``subruns.fore_image`` reads off a stable sort by symbol.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ class PbwtColumns:
     cols: list[np.ndarray]          # per column: symbols, length n_j
     pas: list[np.ndarray]           # per column: 1-based row ids, length n_j
     runs: list[np.ndarray]          # per column: 1-based start of each run, ascending
-    run_targets: list[np.ndarray]   # per column: forward target of each run start, 0 = none
     total_runs: int
 
     def col_len(self, j: int) -> int:
@@ -68,24 +67,10 @@ def internal_matrix(p: Panel) -> np.ndarray:
     return mat
 
 
-def _run_targets(col: np.ndarray, runs: np.ndarray, lo: int) -> np.ndarray:
-    """1-based forward target of each run start, 0 below ``lo`` (terminator):
-    an exclusive cumsum of live run lengths over the runs sorted by symbol."""
-    sym = col[runs - 1]
-    alive = sym >= lo
-    order = np.argsort(sym, kind="stable")
-    live = ((np.append(runs[1:], col.size + 1) - runs) * alive)[order]
-    out = np.empty(runs.size, np.int64)
-    out[order] = np.cumsum(live) - live + 1
-    return out * alive
-
-
 def _columns(p: Panel, cols: list[np.ndarray], pas: list[np.ndarray]) -> PbwtColumns:
     runs = [extract_runs(c) for c in cols]
-    lo = int(p.ragged)
-    return PbwtColumns(h=p.h, w=len(cols), sigma=p.sigma + lo, ragged=p.ragged, cols=cols,
-                       pas=pas, runs=runs, total_runs=sum(r.size for r in runs),
-                       run_targets=[_run_targets(c, r, lo) for c, r in zip(cols, runs)])
+    return PbwtColumns(h=p.h, w=len(cols), sigma=p.sigma + p.ragged, ragged=p.ragged, cols=cols,
+                       pas=pas, runs=runs, total_runs=sum(r.size for r in runs))
 
 
 def build_pbwt(p: Panel, first: np.ndarray | None = None) -> PbwtColumns:

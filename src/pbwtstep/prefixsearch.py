@@ -1,10 +1,11 @@
 """Prefix search over a haplotype panel in run-compressed space.
 
 The index adds the prefix-array entry at every forward sub-run start to the
-step index, which supplies each sub-run's symbol and that symbol's running
-count. Bisects over its flat (column, symbol, position) order locate the
-first/last occurrence of a pattern symbol inside the current match interval,
-and forward steps on the flat tables advance both ends in O(1).
+step index, which supplies each sub-run's symbol and forward image. Bisects
+over its flat (column, symbol, position) order locate the first/last
+occurrence of a pattern symbol inside the current match interval, and
+forward steps on the flat tables advance both ends in O(1); in the last
+column the distance of the ends' images counts the symbol's rows between.
 
 A query returns the longest prefix of the pattern shared with any row, how
 many rows carry it, and the smallest such row id.
@@ -135,8 +136,9 @@ class PrefixSearchIndex:
         if j == 0:
             return 0, self.h, 1
         if j == m_eff:
-            # b and e hold c in the pattern's last column: count the c rows between
-            return j, m.fore_rank[gp] + e - start[gp] - m.fore_rank[g] - b + start[g] + 1, witness
+            # b and e hold c in the pattern's last column, and the c rows between
+            # them step to consecutive rows
+            return j, e + delta[gp] - b - delta[g] + 1, witness
         return j, e - b + 1, witness
 
     def prefix_search_sorted(self, pattern) -> tuple[int, tuple[int, int]]:

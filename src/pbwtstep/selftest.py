@@ -36,12 +36,12 @@ def _check(cond, msg: str) -> None:
         raise SelftestFailure(msg)
 
 
-def random_panel(rng: np.random.Generator, h_max: int = 16, w_max: int = 12,
-                 sigma_max: int = 4, ragged: bool = False) -> Panel:
-    """Panel with realistic run structure: a few base rows plus mutations."""
-    h = int(rng.integers(1, h_max + 1))
-    w = int(rng.integers(1, w_max + 1))
-    sigma = int(rng.integers(1, sigma_max + 1))
+def random_panel(rng: np.random.Generator, ragged: bool = False) -> Panel:
+    """Panel with realistic run structure: a few base rows plus mutations;
+    up to 16 rows, 12 columns and 4 symbols."""
+    h = int(rng.integers(1, 17))
+    w = int(rng.integers(1, 13))
+    sigma = int(rng.integers(1, 5))
     style = rng.integers(0, 3)
     if style == 0:
         rows = rng.integers(0, sigma, size=(h, w))

@@ -8,10 +8,13 @@ columns and indexed by a 0-based flat sub-run number, column j holding
 Tabei (ICALP 2021), laid out flat as in Brown, Gagie and Rossi ("RLBWT
 tricks", SEA 2022). Fore sub-run g maps row t to ``t + fore_delta[g]``, in
 sub-run ``fore_lam[g]`` or one of the two after it; ``fore_ends`` (one past
-each sub-run's last row) stops that advance in the column. Back sub-run g
-overlaps at most three pieces, the images of the previous column's back
-sub-runs, from ``first_piece[g]`` on. ``by_symbol`` orders the fore sub-runs
-by (column, symbol, position) for rank/select. Queries read the tables
+each sub-run's last row) stops that advance in the column. ``fore_delta``
+covers every live sub-run of every column, column w's images landing in a
+virtual column w+1, so the rows of one symbol between two positions of any
+column count as the distance of their images. Back sub-run g overlaps at
+most three pieces, the images of the previous column's back sub-runs, from
+``first_piece[g]`` on. ``by_symbol`` orders the fore sub-runs by (column,
+symbol, position) for rank/select. Queries read the tables
 through the memoryviews in ``mv``, which return Python ints; ``fore_cols``
 and ``back_cols`` are lazy per-column views for the benchmark's table probe.
 
@@ -45,7 +48,6 @@ class StepIndex:
     total_runs: int
     fore_first: np.ndarray             # each column's first flat sub-run, then the count
     fore_ends: np.ndarray              # one past each sub-run's last row
-    fore_rank: np.ndarray              # count of its symbol in the column up to its start
     fore_delta: np.ndarray             # image of the start in the next column minus the start
     fore_lam: np.ndarray               # flat next-column sub-run holding that image
     fore_nq: np.ndarray                # next-column sub-runs the image overlaps; 0 where no step
@@ -94,9 +96,6 @@ class StepIndex:
     def find_fore_subrun(self, j: int, i: int) -> int:
         a = self.mv.fore_first[j - 1]
         return bisect_right(self.mv.fore_starts, i, a, self.mv.fore_first[j]) - a
-
-    def fore_subrun_end(self, j: int, x: int) -> int:
-        return self.mv.fore_ends[self.mv.fore_first[j - 1] + x - 1] - 1
 
     def symbol_run(self, j: int, c: int) -> tuple[int, int]:
         """The slice of ``by_symbol`` that lists column j's sub-runs of symbol c."""
@@ -189,18 +188,17 @@ def assemble_step_index(h: int, w: int, sigma: int, ragged: bool,
         raise ValueError("column lengths differ from the rows stepping into them")
     base = np.cumsum(col_lens) - col_lens          # row i of column j sits at base[j-1] + i
     fglob = base[fcol] + fs
-    # fore_rank, the images and rank/select: one stable sort on (column, symbol)
+    # the images and rank/select: one stable sort on (column, symbol)
     order = np.lexsort((fv, fcol))
     scol, ssym, slen = fcol[order], fv[order], (fends - fs)[order]
-    group = np.append(True, (scol[1:] != scol[:-1]) | (ssym[1:] != ssym[:-1]))
-    offsets = np.flatnonzero(group)
-    excl = np.cumsum(slen) - slen
-    rank = np.empty_like(fs)
-    rank[order] = excl - excl[offsets][np.cumsum(group) - 1] + 1
+    offsets = np.flatnonzero(np.append(True, (scol[1:] != scol[:-1]) | (ssym[1:] != ssym[:-1])))
     slive = slen * (ssym >= lo)                    # terminators sort first and add nothing
     simage = np.cumsum(slive) - slive
     simage -= simage[ffirst[:-1]][scol] - 1
-    del fcol, excl, group, slive
+    # every live sub-run's image, column w's in a virtual column w+1
+    delta = np.zeros_like(fs)
+    delta[order] = (simage - fs[order]) * (ssym >= lo)
+    del fcol, slive
     # the next column's sub-runs under each image, searched in sort order,
     # where the images ascend
     ssteps = np.flatnonzero((ssym >= lo) & (scol < w - 1))
@@ -210,8 +208,8 @@ def assemble_step_index(h: int, w: int, sigma: int, ragged: bool,
     if (nq > 3).any():
         raise ValueError("a fore sub-run's image overlaps more than 3 sub-runs")
     steps = order[ssteps]
-    delta, lam, fore_nq = np.zeros_like(fs), np.zeros_like(fs), np.zeros(fs.size, np.int8)
-    delta[steps], lam[steps], fore_nq[steps] = simage[ssteps] - fs[steps], first, nq
+    lam, fore_nq = np.zeros_like(fs), np.zeros(fs.size, np.int8)
+    lam[steps], fore_nq[steps] = first, nq
     sym_first, sym_vals = np.searchsorted(scol[offsets], np.arange(w + 1)), ssym[offsets]
     del scol, ssym, slen, simage, ssteps, tb, first, nq, steps
     run_start = np.append(True, fv[1:] != fv[:-1])
@@ -252,7 +250,7 @@ def assemble_step_index(h: int, w: int, sigma: int, ragged: bool,
                     piece_ends=piece_ends, piece_shift=bs[src] - piece_starts, piece_src=src)
     return StepIndex(h=h, w=w, sigma=sigma, ragged=ragged, col_lens=col_lens, fore_starts=fs,
                      fore_vals=fv, total_runs=total_runs, fore_first=ffirst, fore_ends=fends,
-                     fore_rank=rank, fore_delta=delta, fore_lam=lam, fore_nq=fore_nq,
+                     fore_delta=delta, fore_lam=lam, fore_nq=fore_nq,
                      by_symbol=order, sym_first=sym_first, sym_vals=sym_vals,
                      sym_offsets=np.append(offsets, fs.size), **back)
 

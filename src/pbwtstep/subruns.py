@@ -8,8 +8,10 @@ forward run image against the next column's list, then pulling the pieces
 back). Both stay below twice the total run count, and every run start is a
 sub-run start, so no sub-run crosses a run boundary.
 
-Forward images come from each run start's target (``PbwtColumns.run_targets``).
-In ragged mode terminator runs (target 0) have none; they are left out of the
+A forward image is the LF-mapping: a part of symbol c at s goes to
+C[c] + rank_c(s), so sorting the parts stably by symbol lays their images
+out in order, each one past the rows of the parts before it. In ragged mode
+terminator parts sort first and have no image; they are left out of the
 images and carried through the forward-stepping lists unchanged.
 """
 
@@ -52,13 +54,11 @@ def fore_image(pc: PbwtColumns, j: int, starts: np.ndarray) -> tuple[np.ndarray,
     """
     if not 1 <= j < pc.w:
         raise ValueError(f"column {j} has no forward image")
-    runs = pc.runs_at(j)
-    k = np.searchsorted(runs, starts, side="right") - 1
-    target = pc.run_targets[j - 1][k]
-    live = target > 0
-    fore, starts = (target + starts - runs[k])[live], starts[live]
-    order = np.argsort(fore)
-    return fore[order], starts[order]
+    sym = pc.cols[j - 1][starts - 1]
+    # terminator parts sort first and drop out
+    order = np.argsort(sym, kind="stable")[np.count_nonzero(sym < pc.ragged):]
+    lens = (np.append(starts[1:], pc.col_len(j) + 1) - starts)[order]
+    return np.cumsum(lens) - lens + 1, starts[order]
 
 
 def build_back_subruns(pc: PbwtColumns) -> list[np.ndarray]:
@@ -86,7 +86,7 @@ def build_fore_subruns(pc: PbwtColumns) -> list[np.ndarray]:
         runs = pc.runs_at(j)
         image, live = fore_image(pc, j, runs)
         pieces, src = normalize(image, pc.col_len(j + 1), lists[j])
-        dead = runs[pc.run_targets[j - 1] == 0]
+        dead = runs[pc.cols[j - 1][runs - 1] < pc.ragged]
         lists[j - 1] = np.sort(np.concatenate((live[src] + pieces - image[src], dead)))
     return lists
 

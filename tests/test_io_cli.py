@@ -32,7 +32,7 @@ def test_parse_token_format():
 
 def test_parse_header_sigma():
     p, _ = parse_panel_text("#h=2 w=2 sigma=5\n01\n10\n")
-    assert p.sigma == 5 and not p.sigma_inferred
+    assert p.sigma == 5
 
 
 def test_parse_malformed_line():
@@ -80,7 +80,7 @@ def test_parse_matches_per_character_oracle(rng):
         assert fmt == "digits" and p.ragged == ragged
         assert [r.tolist() for r in p.rows] == rows
         want_sigma = sigma if sigma is not None else max(max(r, default=0) for r in rows) + 1
-        assert (p.sigma, p.sigma_inferred) == (want_sigma, sigma is None)
+        assert p.sigma == want_sigma
 
 
 def test_parse_bad_byte_names_its_line(rng):
@@ -125,6 +125,11 @@ def test_parse_pattern_formats():
         parse_pattern("0\u0663", "digits")
     with pytest.raises(PanelError):
         parse_pattern("1 \u0661\u0662", "tokens")
+    # tokens are split on whitespace only, as in panel files
+    assert parse_pattern(" 1\t0 ", "tokens") == [1, 0]
+    for pattern in ("1,0", "1, 0"):
+        with pytest.raises(PanelError):
+            parse_pattern(pattern, "tokens")
 
 
 def test_round_trip_preserves_queries(rng, tmp_path):
@@ -302,6 +307,25 @@ def test_token_overflow_names_its_line(tmp_path, capsys):
             assert f"out of int64 range on line {line}" in capsys.readouterr().err
 
 
+def test_non_ascii_bytes_in_panel_files(tmp_path, capsys):
+    # a comment holding non-ASCII bytes is skipped like any other; a data
+    # line holding one is refused by its line number
+    path, ix = tmp_path / "panel.txt", tmp_path / "ix.bin"
+    for clean in ("#sigma=3\n0110\n1021\n", "#sigma=3\n0 1 1 0\n1 0 2 1\n"):
+        path.write_text(clean)
+        assert main(["build", str(path), "-o", str(ix)]) == 0
+        want = ix.read_bytes()
+        path.write_text("# panel from Z\u00fcrich\n" + clean, encoding="utf-8")
+        assert main(["build", str(path), "-o", str(ix)]) == 0
+        assert ix.read_bytes() == want
+        assert main(["stats", str(path)]) == 0
+    for text in ("01\n10\n0\u0663\n", "0 1\n1 0\n0 \u0663\n"):
+        path.write_text(text, encoding="utf-8")
+        for cmd in (["build", str(path), "-o", str(ix)], ["stats", str(path)]):
+            assert main(cmd) == 3
+            assert "malformed line 3" in capsys.readouterr().err
+
+
 def test_version_1_rejected(rng, tmp_path, capsys):
     path = tmp_path / "ix.bin"
     save_index(str(path), build_index(rand_panel(rng)))
@@ -431,6 +455,8 @@ def test_cli_tokens_round_trip(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "3 0 1"
     assert main(["prefix", idx, "3 0"]) == 0
     assert capsys.readouterr().out.strip() == "m'=2 occ=1 index=1"
+    assert main(["prefix", idx, "3,0"]) == 3
+    assert "malformed pattern" in capsys.readouterr().err
 
 
 def test_cli_ragged_build(tmp_path, capsys):

@@ -8,7 +8,6 @@ from pbwtstep.prefixsearch import sort_panel
 def test_validate_ok():
     p = Panel.from_strings(["01", "10", "00"])
     assert (p.h, p.w, p.sigma) == (3, 2, 2)
-    assert p.sigma_inferred
 
 
 def test_validate_symbol_out_of_range():
@@ -35,7 +34,7 @@ def test_validate_empty_panel():
 
 def test_declared_sigma_kept():
     p = Panel.from_rows([[0, 1]], sigma=4)
-    assert p.sigma == 4 and not p.sigma_inferred
+    assert p.sigma == 4
 
 
 @pytest.mark.parametrize("rows, ragged", [

@@ -4,6 +4,7 @@ import pytest
 from pbwtstep.io import build_index, parse_panel_text
 from pbwtstep.panel import Panel
 from pbwtstep.pbwt import build_pbwt, extract_runs
+from pbwtstep.subruns import fore_image
 
 from conftest import build_pbwt_reference, pos_lookup_back, pos_lookup_fore, rand_panel
 
@@ -124,17 +125,6 @@ def test_ragged_fore_undefined_on_terminator():
         st.fore_step(term_pos, 2, st.find_fore_subrun(2, term_pos))
 
 
-def test_fore_tables_match_naive(rng):
-    # the forward target kept at each run start is the position lookup's;
-    # ragged terminator runs have no target and read 0
-    for ragged in (False, True):
-        for _ in range(30):
-            pc = build_pbwt(rand_panel(rng, ragged=ragged))
-            for j, table in enumerate(pos_lookup_fore(pc), 1):
-                assert np.array_equal(pc.run_targets[j - 1], table[pc.runs_at(j) - 1])
-
-
-
 def _check_against_reference_and_extract(p):
     pc, ref = build_pbwt(p), build_pbwt_reference(p)
     for j in range(1, pc.w + 1):
@@ -153,7 +143,8 @@ def test_row_id_dtype_boundary(rng, h):
     pc = _check_against_reference_and_extract(p)
     assert pc.pas[0].dtype.itemsize == (1 if h == 255 else 2)
     for j, table in enumerate(pos_lookup_fore(pc), 1):
-        assert np.array_equal(pc.run_targets[j - 1], table[pc.runs_at(j) - 1])
+        image, live = fore_image(pc, j, pc.runs_at(j))
+        assert np.array_equal(image, table[live - 1])
 
 
 @pytest.mark.parametrize("sigma,ragged", [(255, True), (256, True), (256, False), (257, False)])

@@ -143,7 +143,7 @@ def test_debug_precondition_checked(rng):
     p = Panel.from_strings(["01", "10", "00"])
     pc, (fore, back), st = build_all(p)
     x = st.find_fore_subrun(1, 1)
-    end = st.fore_subrun_end(1, x)
+    end = st.fore_ends[st.fore_first[0] + x - 1] - 1
     if end < pc.h:
         with pytest.raises(ValueError, match="outside"):
             st.fore_step(end + 1, 1, x)

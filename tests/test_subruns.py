@@ -18,19 +18,27 @@ def _ends(starts, n):
 
 
 def test_fore_map_elementwise(rng):
-    for _ in range(40):
-        p = rand_panel(rng, h_max=12)
-        pc = build_pbwt(p)
-        fore_t = pos_lookup_fore(pc)
-        for j in range(1, pc.w):
-            runs = pc.runs_at(j)
-            image, live = fore_image(pc, j, runs)
-            assert image[0] == 1 and (np.diff(image) > 0).all()
-            assert sorted(live.tolist()) == runs.tolist()
-            ends = dict(zip(runs.tolist(), _ends(runs, pc.col_len(j)).tolist()))
-            img_ends = _ends(image, pc.col_len(j + 1))
-            for b, e, s in zip(image.tolist(), img_ends.tolist(), live.tolist()):
-                assert (b, e) == (fore_t[j - 1][s - 1], fore_t[j - 1][ends[s] - 1])
+    # on runs and on the finer back sub-run lists, fixed and ragged, every
+    # part off the terminator maps onto the position lookup's block, and a
+    # part on the terminator (lookup 0) has no image
+    dead_parts = 0
+    for ragged in (False, True):
+        for _ in range(40):
+            p = rand_panel(rng, h_max=12, ragged=ragged)
+            pc = build_pbwt(p)
+            fore_t, back = pos_lookup_fore(pc), build_back_subruns(pc)
+            for j in range(1, pc.w):
+                for starts in (pc.runs_at(j), back[j - 1]):
+                    image, live = fore_image(pc, j, starts)
+                    assert image[0] == 1 and (np.diff(image) > 0).all()
+                    alive = [s for s in starts.tolist() if fore_t[j - 1][s - 1]]
+                    assert sorted(live.tolist()) == alive
+                    dead_parts += starts.size - len(alive)
+                    ends = dict(zip(starts.tolist(), _ends(starts, pc.col_len(j)).tolist()))
+                    img_ends = _ends(image, pc.col_len(j + 1))
+                    for b, e, s in zip(image.tolist(), img_ends.tolist(), live.tolist()):
+                        assert (b, e) == (fore_t[j - 1][s - 1], fore_t[j - 1][ends[s] - 1])
+    assert dead_parts
 
 
 def test_fore_map_identity_on_identical_rows():
