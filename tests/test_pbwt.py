@@ -125,6 +125,20 @@ def test_ragged_fore_undefined_on_terminator():
         st.fore_step(term_pos, 2, st.find_fore_subrun(2, term_pos))
 
 
+def test_fore_tables_match_naive(rng):
+    # the forward target of each run start is the position lookup's;
+    # ragged terminator runs have no target and read 0
+    for ragged in (False, True):
+        for _ in range(30):
+            pc = build_pbwt(rand_panel(rng, ragged=ragged))
+            for j, table in enumerate(pos_lookup_fore(pc), 1):
+                runs = pc.runs_at(j)
+                image, live = fore_image(pc, j, runs)
+                targets = dict(zip(live.tolist(), image.tolist()))
+                got = [targets.get(s, 0) for s in runs.tolist()]
+                assert got == table[runs - 1].tolist()
+
+
 def _check_against_reference_and_extract(p):
     pc, ref = build_pbwt(p), build_pbwt_reference(p)
     for j in range(1, pc.w + 1):
