@@ -28,7 +28,7 @@ from .panel import Panel, PanelError
 from .pbwt import build_pbwt
 from .prefixsearch import PrefixSearchIndex, assemble_prefix_index, sort_panel
 from .retrieval import RetrievalIndex
-from .stepindex import StepIndex, assemble_step_index, build_step_index
+from .stepindex import StepIndex, assemble_step_index, build_step_index, narrow, table_dtype
 from .subruns import build_back_subruns, build_fore_subruns
 
 MAGIC = b"PBWTSTEP"
@@ -47,37 +47,39 @@ class IndexFormatError(ValueError):
 # --------------------------------------------------------------- panel files
 
 def parse_panel_text(text: str, fmt: str = "auto", ragged: bool = False) -> tuple[Panel, str]:
-    """Parse panel file content; returns the panel and the format actually used."""
+    """Parse panel file content; returns the panel and the format actually used.
+    Errors name the line of the file, blank and ``#`` lines counted."""
     header_sigma = None
-    lines = text.splitlines()
-    data_lines = []
-    for ln in lines:
+    data_lines, line_nos = [], []
+    for no, ln in enumerate(text.splitlines(), 1):
         s = ln.strip()
         if not s:
             continue
         if s.startswith("#"):
             for tok in s[1:].replace(",", " ").split():
-                if "=" in tok:
-                    key, _, val = tok.partition("=")
-                    if key.strip() == "sigma":
-                        header_sigma = int(val)
+                key, eq, val = tok.partition("=")
+                if eq and key == "sigma":
+                    if not (val.isascii() and val.isdigit()):
+                        raise PanelError(f"malformed header on line {no}: {s!r}")
+                    header_sigma = int(val)
             continue
         data_lines.append(s)
+        line_nos.append(no)
     if not data_lines:
         raise PanelError("empty panel file")
     if fmt == "auto":
         fmt = "tokens" if any(ch.isspace() for ch in data_lines[0]) else "digits"
     if fmt == "digits":
-        p = Panel.from_strings(data_lines, sigma=header_sigma, ragged=ragged)
+        p = Panel.from_strings(data_lines, sigma=header_sigma, ragged=ragged, line_nos=line_nos)
     else:
         rows = []
-        for idx, s in enumerate(data_lines, 1):
+        for no, s in zip(line_nos, data_lines):
             try:
                 rows.append(np.array([int(tok) for tok in s.split()], np.int64))
             except ValueError as exc:
-                raise PanelError(f"malformed line {idx}: {s!r}") from exc
+                raise PanelError(f"malformed line {no}: {s!r}") from exc
             except OverflowError as exc:
-                raise PanelError(f"symbol out of int64 range on line {idx}: {s!r}") from exc
+                raise PanelError(f"symbol out of int64 range on line {no}: {s!r}") from exc
         p = Panel.from_rows(rows, sigma=header_sigma, ragged=ragged)
     return p, fmt
 
@@ -167,11 +169,13 @@ class _Reader:
         self.off += n
         return out
 
-    def arr(self) -> np.ndarray:
+    def arr(self, dtype) -> np.ndarray:
+        """The next array, decoded into ``dtype``; an element that does not
+        fit raises ValueError."""
         size, n = struct.unpack("<BQ", self.take(9))
         if size not in (1, 2, 4, 8):
             raise IndexFormatError(f"array element size {size} is not 1, 2, 4 or 8")
-        return np.frombuffer(self.take(size * n), dtype=f"<u{size}").astype(np.int64)
+        return narrow(np.frombuffer(self.take(size * n), dtype=f"<u{size}"), dtype)
 
 
 def _encode_payload(ix: IndexFile) -> bytes:
@@ -227,13 +231,15 @@ def load_index(path: str) -> IndexFile:
 def _decode_payload(payload: bytes, flags: int) -> IndexFile:
     rd = _Reader(payload)
     h, w, sigma_public = struct.unpack("<QQQ", rd.take(24))
-    col_lens, fore_starts, fore_vals = rd.arr(), rd.arr(), rd.arr()
-    back_starts = None if flags & FLAG_FORE_ONLY else rd.arr()
-    pa_at_start = rd.arr()
-    orig_ids = rd.arr() if flags & FLAG_SORTED else None
+    ragged = bool(flags & FLAG_TERMINATOR)
+    col_lens = rd.arr(np.int64)
+    dt = table_dtype(col_lens, sigma_public + ragged)
+    fore_starts, fore_vals = rd.arr(dt), rd.arr(dt)
+    back_starts = None if flags & FLAG_FORE_ONLY else rd.arr(dt)
+    pa_at_start = rd.arr(dt)
+    orig_ids = rd.arr(dt) if flags & FLAG_SORTED else None
     if rd.off != len(payload):
         raise IndexFormatError("trailing bytes after the last section")
-    ragged = bool(flags & FLAG_TERMINATOR)
     step = assemble_step_index(h, w, sigma_public + ragged, ragged, col_lens, fore_starts,
                                fore_vals, back_starts)
     prefix = PrefixSearchIndex(step=step, pa_at_start=pa_at_start, orig_ids=orig_ids)

@@ -163,16 +163,18 @@ class PrefixSearchIndex:
 
 def assemble_prefix_index(pc, step: StepIndex,
                           orig_ids: np.ndarray | None) -> PrefixSearchIndex:
-    """Sample the prefix array at every forward sub-run start of ``step``, as
-    int64 like ``load_index``, so built and loaded indexes hold the same dtypes.
-    The samples are file row ids; a sorted index (``orig_ids``: file ids in
-    sorted order) numbers rows by sorted position, so it maps them through the
-    inverse permutation, which is the argsort of ``orig_ids``."""
-    f = step.fore_first.tolist()
+    """Sample the prefix array at every forward sub-run start of ``step``, in
+    the step tables' dtype like ``load_index``, so built and loaded indexes
+    hold the same dtypes. The samples are file row ids; a sorted index
+    (``orig_ids``: file ids in sorted order) numbers rows by sorted position,
+    so it maps them through the inverse permutation, which is the argsort of
+    ``orig_ids``."""
+    f, dt = step.fore_first.tolist(), step.fore_starts.dtype
     samples = [pa[step.fore_starts[a:b] - 1] for pa, a, b in zip(pc.pas, f, f[1:])]
-    pa_at_start = np.concatenate(samples).astype(np.int64)
+    pa_at_start = np.concatenate(samples, dtype=dt)
     if orig_ids is not None:
-        pa_at_start = np.argsort(orig_ids)[pa_at_start - 1] + 1
+        pa_at_start = (np.argsort(orig_ids)[pa_at_start - 1] + 1).astype(dt)
+        orig_ids = orig_ids.astype(dt)
     return PrefixSearchIndex(step=step, pa_at_start=pa_at_start, orig_ids=orig_ids)
 
 

@@ -18,10 +18,13 @@ symbol, position) for rank/select. Queries read the tables
 through the memoryviews in ``mv``, which return Python ints; ``fore_cols``
 and ``back_cols`` are lazy per-column views for the benchmark's table probe.
 
-The assembly raises ValueError unless the arrays describe a valid index that
-meets the paper's bounds (fewer than ``2*total_runs`` sub-runs per side, at
-most three overlaps per image), so no step can fail on a file that loaded.
-Queries take and return 1-based (row, sub-run) pairs, so steps chain.
+Every table is one dtype, ``table_dtype``: int32 when the global row numbers
+and the symbols fit it, int64 otherwise, as move tables store only the bits
+positions need; the two overlap counts are int8. The assembly raises
+ValueError unless the arrays describe a valid index that meets the paper's
+bounds (fewer than ``2*total_runs`` sub-runs per side, at most three overlaps
+per image), so no step can fail on a file that loaded. Queries take and
+return 1-based (row, sub-run) pairs, so steps chain.
 """
 
 from __future__ import annotations
@@ -151,10 +154,28 @@ def _locate(first, starts, ends, i: int, j: int, x: int, side: str) -> int:
     return g
 
 
+def table_dtype(col_lens, sigma: int) -> type:
+    """The dtype of every step table: int32 when the global row numbers, up
+    to the total of the column lengths plus one, and the symbols fit it."""
+    return np.int32 if sum(np.asarray(col_lens).tolist()) + 1 < 2**31 and sigma < 2**31 \
+        else np.int64
+
+
+def narrow(a, dtype) -> np.ndarray:
+    """``a`` as ``dtype``; raises ValueError for an element that the cast
+    would wrap."""
+    a, info = np.asarray(a), np.iinfo(dtype)
+    if not np.can_cast(a.dtype, dtype) and a.size and (int(a.max()) > info.max or
+                                                       int(a.min()) < info.min):
+        raise ValueError(f"array element outside {np.dtype(dtype)}")
+    return a.astype(dtype, copy=False)
+
+
 def _split_columns(starts: np.ndarray, col_lens: np.ndarray, side: str):
-    """Each flat start's column, each column's first flat index then the count,
-    and one past each sub-run's last row. A column's starts begin at 1, which
-    marks the boundaries, and strictly increase."""
+    """Each flat start's column, each column's first flat index then the count
+    (both intp, for indexing), and one past each sub-run's last row. A
+    column's starts begin at 1, which marks the boundaries, and strictly
+    increase."""
     first = np.flatnonzero(starts == 1)
     if first.size != col_lens.size or first[:1].any():
         raise ValueError(f"{side} sub-run starts do not split into {col_lens.size} columns")
@@ -172,11 +193,14 @@ def assemble_step_index(h: int, w: int, sigma: int, ragged: bool,
                         col_lens, fore_starts, fore_vals, back_starts) -> StepIndex:
     """Derive the step tables from the stored arrays, which hold every
     column's sub-runs in turn (``back_starts`` is None for a fore-only index);
-    raises ValueError when they do not describe a valid index."""
-    col_lens, fs, fv = (np.asarray(a, dtype=np.int64) for a in (col_lens, fore_starts, fore_vals))
+    raises ValueError when they do not describe a valid index. Every table is
+    ``table_dtype``; the sorts' and searches' outputs stay intp, which numpy
+    gathers with directly, until they are stored."""
     # the limits keep the global row positions below inside int64
     if not (h >= 1 and w >= 1 and 1 <= sigma < 2**62 and h * w < 2**62):
         raise ValueError(f"dimensions out of range: h={h} w={w} sigma={sigma}")
+    dt = table_dtype(col_lens, sigma)
+    col_lens, fs, fv = (narrow(a, dt) for a in (col_lens, fore_starts, fore_vals))
     if col_lens.size != w or int(col_lens[0]) != h or fv.size != fs.size:
         raise ValueError("array sizes do not match the dimensions")
     fcol, ffirst, fends = _split_columns(fs, col_lens, "fore")
@@ -186,32 +210,39 @@ def assemble_step_index(h: int, w: int, sigma: int, ragged: bool,
     if not np.array_equal(col_lens[1:], np.add.reduceat((fends - fs) * (fv >= lo),
                                                         ffirst[:-1])[:-1]):
         raise ValueError("column lengths differ from the rows stepping into them")
-    base = np.cumsum(col_lens) - col_lens          # row i of column j sits at base[j-1] + i
+    base = np.cumsum(col_lens, dtype=dt) - col_lens    # row i of column j sits at base[j-1] + i
     fglob = base[fcol] + fs
     # the images and rank/select: one stable sort on (column, symbol)
     order = np.lexsort((fv, fcol))
     scol, ssym, slen = fcol[order], fv[order], (fends - fs)[order]
+    del fcol
     offsets = np.flatnonzero(np.append(True, (scol[1:] != scol[:-1]) | (ssym[1:] != ssym[:-1])))
     slive = slen * (ssym >= lo)                    # terminators sort first and add nothing
-    simage = np.cumsum(slive) - slive
+    simage = np.cumsum(slive, dtype=dt) - slive
+    del slive
     simage -= simage[ffirst[:-1]][scol] - 1
     # every live sub-run's image, column w's in a virtual column w+1
     delta = np.zeros_like(fs)
     delta[order] = (simage - fs[order]) * (ssym >= lo)
-    del fcol, slive
     # the next column's sub-runs under each image, searched in sort order,
     # where the images ascend
     ssteps = np.flatnonzero((ssym >= lo) & (scol < w - 1))
     tb = base[scol[ssteps] + 1] + simage[ssteps]
+    del simage
     first = np.searchsorted(fglob, tb, side="right") - 1
     nq = np.searchsorted(fglob, tb + slen[ssteps] - 1, side="right") - first
+    del tb, slen
     if (nq > 3).any():
         raise ValueError("a fore sub-run's image overlaps more than 3 sub-runs")
     steps = order[ssteps]
+    del ssteps
     lam, fore_nq = np.zeros_like(fs), np.zeros(fs.size, np.int8)
     lam[steps], fore_nq[steps] = first, nq
+    del steps, first, nq
     sym_first, sym_vals = np.searchsorted(scol[offsets], np.arange(w + 1)), ssym[offsets]
-    del scol, ssym, slen, simage, ssteps, tb, first, nq, steps
+    del scol, ssym
+    by_symbol, sym_offsets = order.astype(dt), np.append(offsets, fs.size).astype(dt)
+    del order, offsets
     run_start = np.append(True, fv[1:] != fv[:-1])
     run_start[ffirst[:-1]] = True
     total_runs = int(run_start.sum())
@@ -219,21 +250,26 @@ def assemble_step_index(h: int, w: int, sigma: int, ragged: bool,
         raise ValueError(f"{fs.size} fore sub-runs, not fewer than 2*total_runs")
     back = {}
     if back_starts is not None:
-        bs = np.asarray(back_starts, dtype=np.int64)
+        bs = narrow(back_starts, dt)
         bcol, bfirst, bends = _split_columns(bs, col_lens, "back")
         if bs.size >= 2 * total_runs:
             raise ValueError(f"{bs.size} back sub-runs, not fewer than 2*total_runs")
         bglob = base[bcol] + bs
-        if not np.isin(fglob[run_start], bglob).all():
+        # both ascend, so each run boundary must equal the last back start at or before it
+        rglob = fglob[run_start]
+        if (bglob[np.searchsorted(bglob, rglob, side="right") - 1] != rglob).any():
             raise ValueError("a run boundary is not a back sub-run start")
+        del rglob
         # each back sub-run lies in one run, so the fore sub-run holding its
         # start gives its symbol and the shift of its contiguous image
         k = np.searchsorted(fglob, bglob, side="right") - 1
         bvals = fv[k]
         src = np.flatnonzero((bvals >= lo) & (bcol < w - 1))
         pglob = base[bcol[src] + 1] + bs[src] + delta[k[src]]
+        del k
         porder = np.argsort(pglob, kind="stable")
         pglob, src = pglob[porder], src[porder]
+        del porder
         piece_starts = pglob - base[bcol[src] + 1]
         # the pieces tile columns 2..w, so they split like sub-runs and the
         # searches below stay in the column
@@ -245,24 +281,27 @@ def assemble_step_index(h: int, w: int, sigma: int, ragged: bool,
             raise ValueError("a back sub-run overlaps more than 3 pieces")
         first_piece, back_nq = np.zeros_like(bs), np.zeros(bs.size, np.int8)
         first_piece[t:], back_nq[t:] = first, nq
-        back = dict(back_starts=bs, back_first=bfirst, back_ends=bends, back_vals=bvals,
-                    back_nq=back_nq, first_piece=first_piece, piece_starts=piece_starts,
-                    piece_ends=piece_ends, piece_shift=bs[src] - piece_starts, piece_src=src)
+        back = dict(back_starts=bs, back_first=bfirst.astype(dt), back_ends=bends,
+                    back_vals=bvals, back_nq=back_nq, first_piece=first_piece,
+                    piece_starts=piece_starts, piece_ends=piece_ends,
+                    piece_shift=bs[src] - piece_starts, piece_src=src.astype(dt))
     return StepIndex(h=h, w=w, sigma=sigma, ragged=ragged, col_lens=col_lens, fore_starts=fs,
-                     fore_vals=fv, total_runs=total_runs, fore_first=ffirst, fore_ends=fends,
-                     fore_delta=delta, fore_lam=lam, fore_nq=fore_nq,
-                     by_symbol=order, sym_first=sym_first, sym_vals=sym_vals,
-                     sym_offsets=np.append(offsets, fs.size), **back)
+                     fore_vals=fv, total_runs=total_runs, fore_first=ffirst.astype(dt),
+                     fore_ends=fends, fore_delta=delta, fore_lam=lam, fore_nq=fore_nq,
+                     by_symbol=by_symbol, sym_first=sym_first.astype(dt), sym_vals=sym_vals,
+                     sym_offsets=sym_offsets, **back)
 
 
 def build_step_index(pc: PbwtColumns, fore_lists: list[np.ndarray],
                      back_lists: list[np.ndarray]) -> StepIndex:
     """Step tables from built sub-run lists, one start array per column;
     backward tables only when ``back_lists`` is non-empty. Only the starts and
-    the fore sub-runs' symbols are read, and ``assemble_step_index`` derives
-    the rest."""
+    the fore sub-runs' symbols are read, joined straight into the table dtype,
+    and ``assemble_step_index`` derives the rest."""
+    col_lens = [col.size for col in pc.cols]
+    dt = table_dtype(col_lens, pc.sigma)
     vals = [col[s - 1] for col, s in zip(pc.cols, fore_lists)]
-    back = np.concatenate(back_lists) if back_lists else None
-    return assemble_step_index(pc.h, pc.w, pc.sigma, pc.ragged,
-                               [col.size for col in pc.cols], np.concatenate(fore_lists),
-                               np.concatenate(vals), back)
+    back = np.concatenate(back_lists, dtype=dt) if back_lists else None
+    return assemble_step_index(pc.h, pc.w, pc.sigma, pc.ragged, col_lens,
+                               np.concatenate(fore_lists, dtype=dt),
+                               np.concatenate(vals, dtype=dt), back)

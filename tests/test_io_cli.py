@@ -84,18 +84,36 @@ def test_parse_matches_per_character_oracle(rng):
 
 
 def test_parse_bad_byte_names_its_line(rng):
+    # the line of the file: the header, blank and "#" lines count
     for _ in range(60):
-        lines = [ln for ln in _digit_panel_text(rng, ragged=True) if ln.strip() and
-                 not ln.startswith("#")]
-        if not lines:
+        lines = ["#sigma=10"] + _digit_panel_text(rng, ragged=True)
+        data = [k for k, ln in enumerate(lines) if ln.strip() and not ln.startswith("#")]
+        if not data:
             continue
-        k = int(rng.integers(0, len(lines)))
+        k = data[int(rng.integers(0, len(data)))]
         pos = int(rng.integers(0, len(lines[k]) + 1))
         bad = "x-+./:a"[int(rng.integers(0, 7))]
         lines[k] = lines[k][:pos] + bad + lines[k][pos:]
         with pytest.raises(PanelError) as err:
-            parse_panel_text("\n".join(["#sigma=10"] + lines), fmt="digits", ragged=True)
+            parse_panel_text("\n".join(lines), fmt="digits", ragged=True)
         assert str(err.value) == f"malformed line {k + 1}: {lines[k]!r}"
+
+
+def test_parse_errors_name_file_lines(tmp_path, capsys):
+    path = tmp_path / "panel.txt"
+    for text, msg in (("#sigma=2\n\n01\n0x\n", "malformed line 4: '0x'"),
+                      ("# rows\n\n0 1\n\n1 x\n", "malformed line 5: '1 x'"),
+                      ("1 0\n\n18446744073709551615 1\n",
+                       "symbol out of int64 range on line 3: '18446744073709551615 1'"),
+                      ("#sigma=two\n01\n", "malformed header on line 1: '#sigma=two'"),
+                      ("01\n\n# h=2, sigma=\u0663\n10\n",
+                       "malformed header on line 3: '# h=2, sigma=\u0663'")):
+        with pytest.raises(PanelError) as err:
+            parse_panel_text(text)
+        assert str(err.value) == msg
+        path.write_text(text, encoding="utf-8")
+        assert main(["build", str(path), "-o", str(tmp_path / "ix.bin")]) == 3
+        assert capsys.readouterr().err.strip().endswith(msg.replace("\u0663", "\ufffd\ufffd"))
 
 
 def test_parse_rejects_non_ascii_digits():
@@ -276,6 +294,51 @@ def test_corrupt_array_elements_exit_cleanly(tmp_path, capsys):
                     _write_with_crc(path, blob)
                     for q in queries:
                         assert main(q) in (0, 2), (q, at, value)
+        capsys.readouterr()
+
+
+def _widened(blob, which, at=None, extra=0):
+    """A saved index with array ``which`` stored 8 bytes wide and ``extra``
+    added to its element ``at``, header length and checksum recomputed."""
+    head = len(MAGIC) + 20
+    out = bytearray(blob[:head + 24])
+    for k, (first, size, n) in enumerate(_array_elements(blob)):
+        if k != which:
+            out += blob[first - 9:first + size * n]
+            continue
+        vals = np.frombuffer(bytes(blob), f"<u{size}", n, first).astype("<u8")
+        if at is not None:
+            vals[at] += extra
+        out += struct.pack("<BQ", 8, n) + vals.tobytes()
+    struct.pack_into("<IQ", out, len(MAGIC) + 8, zlib.crc32(bytes(out[head:])),
+                     len(out) - head)
+    return bytes(out)
+
+
+def test_wide_elements_do_not_wrap(tmp_path, capsys):
+    # every stored array rewritten 8 bytes wide loads as before; one element
+    # raised by 2^32 or 2^63 must be refused (exit 2), never read modulo the
+    # narrower table dtype as its clean value
+    cases = [(["0110", "1011", "0001", "1100", "0110", "1010"], [], "011"),
+             (["011", "1", "0010", "11", "0111", "10"], ["--ragged", "--sorted"], "01")]
+    for k, (rows, flags, pattern) in enumerate(cases):
+        panel, path = tmp_path / f"p{k}.txt", tmp_path / f"ix{k}.bin"
+        panel.write_text("\n".join(rows) + "\n")
+        assert main(["build", str(panel), "-o", str(path)] + flags) == 0
+        queries = [["extract", str(path), "1"], ["extract", str(path), str(len(rows))],
+                   ["prefix", str(path), pattern] + (["--enumerate"] if flags else [])]
+        clean = path.read_bytes()
+        capsys.readouterr()
+        want = [(main(q), capsys.readouterr().out) for q in queries]
+        assert [code for code, _ in want] == [0, 0, 0]
+        for which, (_, _, count) in enumerate(_array_elements(clean)):
+            path.write_bytes(_widened(clean, which))
+            assert [(main(q), capsys.readouterr().out) for q in queries] == want
+            for at in range(count):
+                for extra in (2**32, 2**63):
+                    path.write_bytes(_widened(clean, which, at, extra))
+                    for q in queries:
+                        assert main(q) == 2, (which, at, extra, q)
         capsys.readouterr()
 
 

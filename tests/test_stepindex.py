@@ -1,8 +1,12 @@
+import numpy as np
 import pytest
 
+from pbwtstep.io import build_index, load_index, save_index
 from pbwtstep.panel import Panel
 from pbwtstep.pbwt import build_pbwt
-from pbwtstep.stepindex import build_step_index
+from pbwtstep.prefixsearch import PrefixSearchIndex
+from pbwtstep.retrieval import RetrievalIndex
+from pbwtstep.stepindex import assemble_step_index, build_step_index
 from pbwtstep.subruns import build_back_subruns, build_fore_subruns
 
 from conftest import in_subrun, pos_lookup_back, pos_lookup_fore, rand_panel
@@ -165,3 +169,46 @@ def test_ragged_back_total_fore_partial(rng):
                 if st.ragged and st.symbol_at_fore(j, x) == 0:
                     continue
                 assert st.fore_step(i, j, x)[0] == int(fore_t[j - 1][i - 1])
+
+
+def _table_dtypes(ix):
+    """Every array of a bundle's step index and prefix samples, by name."""
+    arrays = {k: v for k, v in vars(ix.step).items() if isinstance(v, np.ndarray)}
+    arrays["pa_at_start"] = ix.prefix.pa_at_start
+    if ix.prefix.orig_ids is not None:
+        arrays["orig_ids"] = ix.prefix.orig_ids
+    return {k: v.dtype for k, v in arrays.items()}
+
+
+def test_small_index_tables_are_int32(rng, tmp_path):
+    # built and loaded alike: int32 tables, int8 overlap counts
+    for kw in ({}, {"fore_only": True}, {"sorted_rows": True}):
+        ix = build_index(rand_panel(rng), **kw)
+        path = tmp_path / "ix.bin"
+        save_index(str(path), ix)
+        for bundle in (ix, load_index(str(path))):
+            dtypes = _table_dtypes(bundle)
+            assert dtypes.pop("fore_nq") == np.int8
+            if not kw.get("fore_only"):
+                assert dtypes.pop("back_nq") == np.int8
+            assert ("orig_ids" in dtypes) == bool(kw.get("sorted_rows"))
+            assert set(dtypes.values()) == {np.dtype(np.int32)}, dtypes
+
+
+def test_rows_past_int32_get_int64_tables():
+    # h = 2^31 rows, two identical columns of one run each: the second
+    # column's global rows pass 2^31, so the tables are int64; no O(h) array
+    h = 2**31
+    st = assemble_step_index(h, 2, 2, False, np.array([h, h]), np.array([1, 1]),
+                             np.array([0, 1]), np.array([1, 1]))
+    pr = PrefixSearchIndex(step=st, pa_at_start=np.array([1, 1], np.int64), orig_ids=None)
+    dtypes = {k: v.dtype for k, v in vars(st).items() if isinstance(v, np.ndarray)}
+    assert dtypes.pop("fore_nq") == dtypes.pop("back_nq") == np.int8
+    assert set(dtypes.values()) == {np.dtype(np.int64)}, dtypes
+    rt = RetrievalIndex(st)
+    assert rt.extract(1) == rt.extract(h) == [0, 1]
+    assert st.fore_step(h, 1, 1) == (h, 1) and st.fore_step(1, 1, 1) == (1, 1)
+    assert st.back_step(h, 2, 1) == (h, 1) and st.back_step(1, 2, 1) == (1, 1)
+    assert pr.partial_prefix_search([0, 1]) == (2, h, 1)
+    assert pr.partial_prefix_search([0, 0]) == (1, h, 1)
+    assert pr.partial_prefix_search([1]) == (0, h, 1)
