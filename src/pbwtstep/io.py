@@ -11,9 +11,10 @@ derived, each flat over all columns, as a u8 element size, a u64 count and
 unsigned elements of the smallest size that fits: column lengths, fore
 sub-run starts and symbols, back sub-run starts (unless fore-only), the
 prefix-array entry at each fore sub-run start, and the ids (if sorted).
-Loading runs the builder's own assembly (``assemble_step_index``, then
-``PrefixSearchIndex``), which derives the step tables and rank/select and
-rejects arrays that do not describe a valid index.
+Loading decodes each array straight into the step tables' dtype, refusing
+an element that does not fit it, and runs the builder's own assembly
+(``assemble_step_index``, then ``PrefixSearchIndex``), which derives the step
+tables and rank/select and rejects arrays that do not describe a valid index.
 """
 
 from __future__ import annotations
@@ -48,10 +49,11 @@ class IndexFormatError(ValueError):
 
 def parse_panel_text(text: str, fmt: str = "auto", ragged: bool = False) -> tuple[Panel, str]:
     """Parse panel file content; returns the panel and the format actually used.
-    Errors name the line of the file, blank and ``#`` lines counted."""
+    Errors name the line of the file, blank and ``#`` lines counted; lines end
+    at newlines only (``str.splitlines`` would also end them at a form feed)."""
     header_sigma = None
     data_lines, line_nos = [], []
-    for no, ln in enumerate(text.splitlines(), 1):
+    for no, ln in enumerate(text.split("\n"), 1):
         s = ln.strip()
         if not s:
             continue
@@ -85,7 +87,8 @@ def parse_panel_text(text: str, fmt: str = "auto", ragged: bool = False) -> tupl
 
 
 def load_panel(path: str, fmt: str = "auto", ragged: bool = False) -> tuple[Panel, str]:
-    # a non-ASCII byte becomes U+FFFD: skipped in a comment, malformed in a row
+    # a non-ASCII byte becomes U+FFFD: skipped in a comment, malformed in a row;
+    # reading as text turns \r\n and \r line ends into \n
     with open(path, "r", encoding="ascii", errors="replace") as fh:
         return parse_panel_text(fh.read(), fmt=fmt, ragged=ragged)
 

@@ -35,9 +35,22 @@ def test_parse_header_sigma():
     assert p.sigma == 5
 
 
-def test_parse_malformed_line():
-    with pytest.raises(PanelError, match="malformed"):
-        parse_panel_text("01\n1x\n")
+def test_parse_malformed_line(tmp_path, capsys):
+    # the file's own line numbers, blank and "#" lines counted
+    path = tmp_path / "panel.txt"
+    for text, msg in (("01\n1x\n", "malformed line 2: '1x'"),
+                      ("#sigma=2\n\n01\n0x\n", "malformed line 4: '0x'"),
+                      ("# rows\n\n0 1\n\n1 x\n", "malformed line 5: '1 x'"),
+                      ("# a\fb\n01\n0x\n", "malformed line 3: '0x'"),
+                      ("#sigma=two\n01\n", "malformed header on line 1: '#sigma=two'"),
+                      ("01\n\n# h=2, sigma=\u0663\n10\n",
+                       "malformed header on line 3: '# h=2, sigma=\u0663'")):
+        with pytest.raises(PanelError) as err:
+            parse_panel_text(text)
+        assert str(err.value) == msg
+        path.write_text(text, encoding="utf-8")
+        assert main(["build", str(path), "-o", str(tmp_path / "ix.bin")]) == 3
+        assert capsys.readouterr().err.strip().endswith(msg.replace("\u0663", "\ufffd\ufffd"))
 
 
 def _oracle_parse(text):
@@ -97,23 +110,6 @@ def test_parse_bad_byte_names_its_line(rng):
         with pytest.raises(PanelError) as err:
             parse_panel_text("\n".join(lines), fmt="digits", ragged=True)
         assert str(err.value) == f"malformed line {k + 1}: {lines[k]!r}"
-
-
-def test_parse_errors_name_file_lines(tmp_path, capsys):
-    path = tmp_path / "panel.txt"
-    for text, msg in (("#sigma=2\n\n01\n0x\n", "malformed line 4: '0x'"),
-                      ("# rows\n\n0 1\n\n1 x\n", "malformed line 5: '1 x'"),
-                      ("1 0\n\n18446744073709551615 1\n",
-                       "symbol out of int64 range on line 3: '18446744073709551615 1'"),
-                      ("#sigma=two\n01\n", "malformed header on line 1: '#sigma=two'"),
-                      ("01\n\n# h=2, sigma=\u0663\n10\n",
-                       "malformed header on line 3: '# h=2, sigma=\u0663'")):
-        with pytest.raises(PanelError) as err:
-            parse_panel_text(text)
-        assert str(err.value) == msg
-        path.write_text(text, encoding="utf-8")
-        assert main(["build", str(path), "-o", str(tmp_path / "ix.bin")]) == 3
-        assert capsys.readouterr().err.strip().endswith(msg.replace("\u0663", "\ufffd\ufffd"))
 
 
 def test_parse_rejects_non_ascii_digits():
@@ -363,7 +359,8 @@ def test_corrupt_panel_bytes_exit_cleanly(tmp_path, capsys):
 def test_token_overflow_names_its_line(tmp_path, capsys):
     path = tmp_path / "panel.txt"
     for text, line in (("3 99999999999999999999999\n1 2\n", 1),
-                       ("1 0\n18446744073709551615 1\n", 2)):
+                       ("1 0\n18446744073709551615 1\n", 2),
+                       ("# rows\n1 0\n\n18446744073709551615 1\n", 4)):
         path.write_text(text)
         for cmd in (["build", str(path), "-o", str(tmp_path / "ix.bin")], ["stats", str(path)]):
             assert main(cmd) == 3

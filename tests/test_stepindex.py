@@ -171,15 +171,6 @@ def test_ragged_back_total_fore_partial(rng):
                 assert st.fore_step(i, j, x)[0] == int(fore_t[j - 1][i - 1])
 
 
-def _table_dtypes(ix):
-    """Every array of a bundle's step index and prefix samples, by name."""
-    arrays = {k: v for k, v in vars(ix.step).items() if isinstance(v, np.ndarray)}
-    arrays["pa_at_start"] = ix.prefix.pa_at_start
-    if ix.prefix.orig_ids is not None:
-        arrays["orig_ids"] = ix.prefix.orig_ids
-    return {k: v.dtype for k, v in arrays.items()}
-
-
 def test_small_index_tables_are_int32(rng, tmp_path):
     # built and loaded alike: int32 tables, int8 overlap counts
     for kw in ({}, {"fore_only": True}, {"sorted_rows": True}):
@@ -187,7 +178,11 @@ def test_small_index_tables_are_int32(rng, tmp_path):
         path = tmp_path / "ix.bin"
         save_index(str(path), ix)
         for bundle in (ix, load_index(str(path))):
-            dtypes = _table_dtypes(bundle)
+            dtypes = {k: v.dtype for k, v in vars(bundle.step).items()
+                      if isinstance(v, np.ndarray)}
+            dtypes["pa_at_start"] = bundle.prefix.pa_at_start.dtype
+            if bundle.prefix.orig_ids is not None:
+                dtypes["orig_ids"] = bundle.prefix.orig_ids.dtype
             assert dtypes.pop("fore_nq") == np.int8
             if not kw.get("fore_only"):
                 assert dtypes.pop("back_nq") == np.int8
