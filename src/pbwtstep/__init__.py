@@ -8,7 +8,7 @@ sorted-interval and enumeration variants, arbitrary-length rows via a
 terminator) and whole-haplotype retrieval without the panel.
 """
 
-from .bounds import BoundsReport, adjacent_distinct_pairs, canonical_intervals, check_bounds
+from .bounds import BoundsReport, adjacent_distinct_pairs, check_bounds
 from .io import IndexFile, IndexFormatError, build_index, load_index, load_panel, save_index
 from .panel import Panel, PanelError, validate_panel
 from .pbwt import PbwtColumns, build_pbwt, extract_runs
@@ -20,7 +20,7 @@ from .subruns import build_back_subruns, build_fore_subruns, fore_image, normali
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundsReport", "adjacent_distinct_pairs", "canonical_intervals", "check_bounds",
+    "BoundsReport", "adjacent_distinct_pairs", "check_bounds",
     "IndexFile", "IndexFormatError", "build_index", "load_index", "load_panel",
     "save_index", "Panel", "PanelError", "validate_panel", "PbwtColumns",
     "build_pbwt", "extract_runs", "PrefixSearchIndex", "RetrievalIndex",

@@ -6,7 +6,8 @@ per column, runs are no more numerous than the canonical blocks of fully
 identical rows, whose count never grows from one column to the next.
 
 One lexsort gives each row a class, so a column's canonical blocks are the
-runs of classes along its prefix array: O(h*w) for the whole panel.
+runs of classes along its prefix array, which one pass of ``column_orders``
+yields with the column's symbols: O(h*w) for the whole panel.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .panel import Panel
-from .pbwt import PbwtColumns, build_pbwt, extract_runs, internal_matrix
+from .pbwt import column_orders, extract_runs, internal_matrix
 from .prefixsearch import sort_panel
 
 
@@ -37,13 +38,6 @@ def _row_classes(p: Panel) -> np.ndarray:
     cls = np.zeros(p.h, np.int64)
     cls[order[1:]] = np.cumsum(_differs(internal_matrix(p)[order]))
     return cls
-
-
-def canonical_intervals(pc: PbwtColumns, p: Panel) -> list[np.ndarray]:
-    """Per column j (index j-1), the 1-based starts of the maximal blocks of
-    its ordering whose full rows are identical: the runs of row classes."""
-    cls = _row_classes(p)
-    return [extract_runs(cls[pa - 1]) for pa in pc.pas]
 
 
 @dataclass
@@ -74,30 +68,33 @@ class BoundsReport:
         return out
 
 
-def check_bounds(p: Panel, pc: PbwtColumns | None = None) -> BoundsReport:
-    """Compute every bound ingredient and evaluate the inequalities.
+def check_bounds(p: Panel) -> BoundsReport:
+    """Compute every bound ingredient and evaluate the inequalities. Per
+    column, ``r_per_col`` counts the runs and ``ell_per_col`` the canonical
+    blocks, the maximal blocks of the prefix array whose full rows are
+    identical.
 
     A failed check indicates an implementation bug, never an input property.
     """
     if p.ragged:
         raise ValueError("bounds are defined for fixed-length panels")
-    if pc is None:
-        pc = build_pbwt(p)
     h_pp = adjacent_distinct_pairs(p)
     cls = _row_classes(p)
     h_pp_sorted = int(cls.max())    # adjacent distinct pairs after lexicographic sorting
     distinct = h_pp_sorted + 1      # sorted rows put equal rows next to each other
-    r_per_col = [r.size for r in pc.runs]
-    ell_per_col = [extract_runs(cls[pa - 1]).size for pa in pc.pas]
-    rt = pc.total_runs
+    r_per_col, ell_per_col = [], []
+    for col, order in column_orders(p):
+        r_per_col.append(extract_runs(col).size)
+        ell_per_col.append(extract_runs(cls[order - 1]).size)
+    rt, w = sum(r_per_col), len(r_per_col)
     checks = {
         "lower_adjacent": rt >= h_pp + 1,
         "lower_distinct": rt >= distinct,
         "runs_le_canonical": all(r <= ell for r, ell in zip(r_per_col, ell_per_col)),
         "canonical_le_hpp1": all(ell <= h_pp + 1 for ell in ell_per_col),
-        "upper_width": rt <= pc.w * (h_pp + 1),
+        "upper_width": rt <= w * (h_pp + 1),
         "canonical_monotone": all(b <= a for a, b in zip(ell_per_col, ell_per_col[1:])),
     }
-    return BoundsReport(h=p.h, w=pc.w, h_pp=h_pp, h_pp_sorted=h_pp_sorted,
+    return BoundsReport(h=p.h, w=w, h_pp=h_pp, h_pp_sorted=h_pp_sorted,
                         distinct=distinct, total_runs=rt, r_per_col=r_per_col,
                         ell_per_col=ell_per_col, checks=checks)

@@ -19,11 +19,13 @@ tables and rank/select and rejects arrays that do not describe a valid index.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .panel import Panel, PanelError
 from .pbwt import build_pbwt
@@ -47,50 +49,95 @@ class IndexFormatError(ValueError):
 
 # --------------------------------------------------------------- panel files
 
-def parse_panel_text(text: str, fmt: str = "auto", ragged: bool = False) -> tuple[Panel, str]:
+def parse_panel(data: bytes, fmt: str = "auto", ragged: bool = False) -> tuple[Panel, str]:
     """Parse panel file content; returns the panel and the format actually used.
-    Errors name the line of the file, blank and ``#`` lines counted; lines end
-    at newlines only (``str.splitlines`` would also end them at a form feed)."""
-    header_sigma = None
-    data_lines, line_nos = [], []
-    for no, ln in enumerate(text.split("\n"), 1):
-        s = ln.strip()
-        if not s:
-            continue
+
+    Lines end at ``\n``, ``\r\n`` or a bare ``\r``, not at a form feed. The
+    bytes become digit values in place (in a copy unless ``data`` is a
+    writable buffer such as a ``bytearray``), and the digit matrix is one
+    gather from them. Only the lines that are not pure digits are read as
+    text, with a non-ASCII byte as U+FFFD: headers, comments, blank, padded
+    and bad lines, and every line of a token file. Errors name the line of
+    the file, blank and ``#`` lines counted.
+    """
+    buf = np.frombuffer(data, np.uint8)
+    if not buf.flags.writeable:
+        buf = buf.copy()
+    buf -= ord("0")
+    odd = np.flatnonzero(buf > 9)       # every byte that is not a digit
+    ob = buf[odd] + ord("0")
+    cr, lf = ob == ord("\r"), ob == ord("\n")
+    crlf = np.zeros_like(cr)            # a \r right before a \n
+    crlf[:-1] = cr[:-1] & lf[1:] & (np.diff(odd) == 1)
+    eol = cr | lf
+    eol[1:] &= ~crlf[:-1]               # that \n ends no line of its own
+    ends = odd[eol]
+    starts = np.concatenate(([0], ends + 1 + crlf[eol]))
+    ends = np.append(ends, buf.size)
+    # a line holding another non-digit byte is read as text; an empty one is blank
+    slow = np.zeros(starts.size, bool)
+    slow[np.searchsorted(ends, odd[~(cr | lf)])] = True
+    data_line = ~slow & (ends > starts)
+    del odd, ob, cr, lf, crlf, eol
+    header_sigma, texts = None, {}
+    for k in np.flatnonzero(slow).tolist():
+        raw = (buf[starts[k]:ends[k]] + ord("0")).tobytes().decode("ascii", "replace")
+        s = raw.strip()
         if s.startswith("#"):
             for tok in s[1:].replace(",", " ").split():
                 key, eq, val = tok.partition("=")
                 if eq and key == "sigma":
                     if not (val.isascii() and val.isdigit()):
-                        raise PanelError(f"malformed header on line {no}: {s!r}")
+                        raise PanelError(f"malformed header on line {k + 1}: {s!r}")
                     header_sigma = int(val)
-            continue
-        data_lines.append(s)
-        line_nos.append(no)
-    if not data_lines:
+        elif s:
+            texts[k] = s
+            data_line[k] = True
+            starts[k] += len(raw) - len(raw.lstrip())
+            ends[k] = starts[k] + len(s)
+    if not data_line.any():
         raise PanelError("empty panel file")
     if fmt == "auto":
-        fmt = "tokens" if any(ch.isspace() for ch in data_lines[0]) else "digits"
+        first = texts.get(int(np.argmax(data_line)), "")
+        fmt = "tokens" if any(ch.isspace() for ch in first) else "digits"
+    rows = np.flatnonzero(data_line)
     if fmt == "digits":
-        p = Panel.from_strings(data_lines, sigma=header_sigma, ragged=ragged, line_nos=line_nos)
-    else:
-        rows = []
-        for no, s in zip(line_nos, data_lines):
-            try:
-                rows.append(np.array([int(tok) for tok in s.split()], np.int64))
-            except ValueError as exc:
-                raise PanelError(f"malformed line {no}: {s!r}") from exc
-            except OverflowError as exc:
-                raise PanelError(f"symbol out of int64 range on line {no}: {s!r}") from exc
-        p = Panel.from_rows(rows, sigma=header_sigma, ragged=ragged)
-    return p, fmt
+        for k, s in texts.items():
+            if not s.isdigit():         # ASCII only: other bytes read as U+FFFD
+                raise PanelError(f"malformed line {k + 1}: {s!r}")
+        lens, at = (ends - starts)[rows], starts[rows]
+        h, w = rows.size, int(lens.max())
+        mat = np.empty((h, w), np.uint8, order="F")
+        win = sliding_window_view(buf, w)           # win[i] is buf[i:i + w]
+        step = max(1, 2**17 // w)                   # rows per block of about 128 KB
+        for i in range(0, h, step):                 # per block, one gather and one copy
+            block, n = win[np.minimum(at[i:i + step], len(win) - 1)], lens[i:i + step]
+            if n.min() < w:
+                block[np.arange(w) >= n[:, None]] = 0
+            mat[i:i + step] = block
+        for i in np.flatnonzero(at >= len(win)).tolist():  # short rows in the last w bytes
+            mat[i, :lens[i]] = buf[at[i]:at[i] + lens[i]]
+        sigma = int(mat.max()) + 1 if header_sigma is None else header_sigma
+        return Panel(mat, lens, sigma, ragged), fmt
+    token_rows = []
+    for k in rows.tolist():
+        s = texts.get(k) or (buf[starts[k]:ends[k]] + ord("0")).tobytes().decode("ascii")
+        try:
+            token_rows.append(np.array([int(tok) for tok in s.split()], np.int64))
+        except ValueError as exc:
+            raise PanelError(f"malformed line {k + 1}: {s!r}") from exc
+        except OverflowError as exc:
+            raise PanelError(f"symbol out of int64 range on line {k + 1}: {s!r}") from exc
+    return Panel.from_rows(token_rows, sigma=header_sigma, ragged=ragged), fmt
 
 
 def load_panel(path: str, fmt: str = "auto", ragged: bool = False) -> tuple[Panel, str]:
-    # a non-ASCII byte becomes U+FFFD: skipped in a comment, malformed in a row;
-    # reading as text turns \r\n and \r line ends into \n
-    with open(path, "r", encoding="ascii", errors="replace") as fh:
-        return parse_panel_text(fh.read(), fmt=fmt, ragged=ragged)
+    """Read a panel file into one buffer, which ``parse_panel`` decodes in place."""
+    with open(path, "rb") as fh:
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        del data[fh.readinto(data):]
+        data += fh.read()               # what the size did not cover, as from a pipe
+    return parse_panel(data, fmt=fmt, ragged=ragged)
 
 
 def parse_pattern(text: str, fmt: str) -> list[int]:

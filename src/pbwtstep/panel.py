@@ -61,18 +61,17 @@ class Panel:
         return cls(_matrix(flat, lens), lens, sigma, ragged)
 
     @classmethod
-    def from_strings(cls, rows: Sequence[str], sigma: int | None = None, ragged: bool = False,
-                     line_nos: Sequence[int] | None = None) -> "Panel":
+    def from_strings(cls, rows: Sequence[str], sigma: int | None = None,
+                     ragged: bool = False) -> "Panel":
         """Panel from ASCII digit strings in one uint8 buffer; a non-digit raises
-        PanelError naming its row's line, ``line_nos`` (1, 2, ... by default)."""
+        PanelError naming its row's 1-based line."""
         lens = np.fromiter(map(len, rows), np.int64, len(rows))
         # "replace" keeps one byte per character, so offsets map back to rows
         digits = np.frombuffer("".join(rows).encode("ascii", "replace"), np.uint8) - ord("0")
         bad = np.flatnonzero(digits > 9)
         if bad.size:
             k = int(np.searchsorted(np.cumsum(lens), bad[0], side="right"))
-            no = k + 1 if line_nos is None else line_nos[k]
-            raise PanelError(f"malformed line {no}: {rows[k]!r}")
+            raise PanelError(f"malformed line {k + 1}: {rows[k]!r}")
         sigma = int(digits.max(initial=0)) + 1 if sigma is None else int(sigma)
         return cls(_matrix(digits, lens), lens, sigma, ragged)
 

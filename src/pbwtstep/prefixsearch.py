@@ -163,15 +163,33 @@ class PrefixSearchIndex:
 
 def assemble_prefix_index(pc, step: StepIndex,
                           orig_ids: np.ndarray | None) -> PrefixSearchIndex:
-    """Sample the prefix array at every forward sub-run start of ``step``, in
-    the step tables' dtype like ``load_index``, so built and loaded indexes
-    hold the same dtypes. The samples are file row ids; a sorted index
-    (``orig_ids``: file ids in sorted order) numbers rows by sorted position,
-    so it maps them through the inverse permutation, which is the argsort of
-    ``orig_ids``."""
-    f, dt = step.fore_first.tolist(), step.fore_starts.dtype
-    samples = [pa[step.fore_starts[a:b] - 1] for pa, a, b in zip(pc.pas, f, f[1:])]
-    pa_at_start = np.concatenate(samples, dtype=dt)
+    """The prefix-array entry at every forward sub-run start of ``step``, from
+    the rows ``pc.run_rows`` that the build keeps at run starts, in the step
+    tables' dtype like ``load_index``, so built and loaded indexes hold the
+    same dtypes.
+
+    A sub-run that starts inside a run was pulled back from a sub-run start
+    of the next column, so its start steps to the start of sub-run
+    ``fore_lam[g]`` and holds that one's row (the toehold lemma of Gagie,
+    Navarro and Prezza, JACM 2020). Column w's sub-runs are all runs, so
+    following ``fore_lam`` ends at a run start; pointer doubling gets there
+    in about log2 of the longest chain's length in gathers. The samples are
+    file row ids; a sorted index (``orig_ids``: file ids in sorted order)
+    numbers rows by sorted position, so it maps them through the inverse
+    permutation, the argsort of ``orig_ids``."""
+    fv, dt = step.fore_vals, step.fore_starts.dtype
+    run_start = np.append(True, fv[1:] != fv[:-1])
+    run_start[step.fore_first[:-1]] = True
+    at_run = np.flatnonzero(run_start)
+    ptr = step.fore_lam.copy()
+    ptr[at_run] = at_run
+    for _ in range(step.w):             # a chain crosses fewer than w columns
+        if run_start[ptr].all():
+            break
+        ptr = ptr[ptr]                  # each round doubles the distance followed
+    rows = np.zeros_like(ptr)           # 0, refused as a sample, off the run starts
+    rows[at_run] = np.concatenate(pc.run_rows)
+    pa_at_start = rows[ptr]
     if orig_ids is not None:
         pa_at_start = (np.argsort(orig_ids)[pa_at_start - 1] + 1).astype(dt)
         orig_ids = orig_ids.astype(dt)

@@ -24,7 +24,7 @@ import numpy as np
 from .bounds import check_bounds
 from .io import build_index, load_index, save_index
 from .panel import Panel
-from .pbwt import build_pbwt, internal_matrix
+from .pbwt import column_orders, extract_runs, internal_matrix
 
 
 class SelftestFailure(Exception):
@@ -99,25 +99,27 @@ def random_patterns(rng: np.random.Generator, p: Panel, count: int = 6) -> list[
 def _check_panel(rng: np.random.Generator, p: Panel, do_io: bool):
     """Run every check on one panel, yielding the number of checks as they
     pass, so a failure still reports the checks that passed before it."""
-    pc = build_pbwt(p)
     if not p.ragged:
-        _check(check_bounds(p, pc).passed, "bounds check failed")
+        _check(check_bounds(p).passed, "bounds check failed")
         yield 1
+    syms = internal_matrix(p)
+    # pos[r][j - 1]: 1-based position of row r + 1 in column j's prefix array
+    pos, runs = np.zeros(syms.shape, np.int64), []
+    for j, (col, pa) in enumerate(column_orders(p)):
+        pos[pa - 1, j] = np.arange(1, pa.size + 1)
+        runs.append(extract_runs(col))
+    total_runs = sum(r.size for r in runs)
     ix = build_index(p)
     step = ix.step
-    _check(step.back_starts.size < 2 * pc.total_runs, "back sub-run bound violated")
-    _check(step.fore_starts.size < 2 * pc.total_runs, "fore sub-run bound violated")
+    _check(step.back_starts.size < 2 * total_runs, "back sub-run bound violated")
+    _check(step.fore_starts.size < 2 * total_runs, "fore sub-run bound violated")
     yield 2
     fs, ff, bf = step.fore_starts, step.fore_first.tolist(), step.back_first.tolist()
-    for j, runs in enumerate(pc.runs):
-        _check(np.isin(runs, step.back_starts[bf[j]:bf[j + 1]]).all()
-               and np.isin(runs, fs[ff[j]:ff[j + 1]]).all(), "a sub-run crosses a run boundary")
+    for j, r in enumerate(runs):
+        _check(np.isin(r, step.back_starts[bf[j]:bf[j + 1]]).all()
+               and np.isin(r, fs[ff[j]:ff[j + 1]]).all(), "a sub-run crosses a run boundary")
         yield 1
-    # pos[r][j - 1]: 1-based position of row r + 1 in column j's prefix array
-    pos = np.zeros((p.h, pc.w), np.int64)
-    for j, pa in enumerate(pc.pas):
-        pos[pa - 1, j] = np.arange(1, pa.size + 1)
-    pos, syms = pos.tolist(), internal_matrix(p).tolist()
+    pos, syms = pos.tolist(), syms.tolist()
     last = (p.lens + p.ragged).tolist()    # each row's last column: its terminator if ragged
     for r in range(p.h):
         i, x = r + 1, step.find_fore_subrun(1, r + 1)

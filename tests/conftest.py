@@ -6,12 +6,14 @@ lookups, prefix search against the selftest's row scan, normalization
 against an O(n^2) splitter.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from pbwtstep.io import build_index
 from pbwtstep.panel import Panel
-from pbwtstep.pbwt import PbwtColumns, _columns, internal_matrix
+from pbwtstep.pbwt import column_orders, extract_runs, internal_matrix
 from pbwtstep.selftest import scan_prefix_oracle as scan_prefix  # row-scan prefix oracle
 
 
@@ -70,8 +72,10 @@ def retrieval_index(p: Panel):
 
 # ------------------------------------------------------------------- oracles
 
-def build_pbwt_reference(p: Panel) -> PbwtColumns:
-    """Quadratic comparison-sort construction, an oracle for ``build_pbwt``.
+def build_pbwt_reference(p: Panel) -> SimpleNamespace:
+    """Quadratic comparison-sort construction, an oracle for ``column_orders``
+    and ``build_pbwt``: each column's symbols ``cols``, prefix array ``pas``
+    (1-based row ids) and ``runs``, and ``w``.
 
     Sorts, for every column, the reversed (j-1)-prefixes with Python's stable
     sort instead of the incremental bucket pass.
@@ -84,26 +88,31 @@ def build_pbwt_reference(p: Panel) -> PbwtColumns:
         alive.sort(key=lambda i: tuple(mat[i - 1, :j - 1][::-1].tolist()))
         pas.append(np.array(alive, np.int64))
         cols.append(np.array([mat[i - 1, j - 1] for i in alive], np.int64))
-    return _columns(p, cols, pas)
+    return SimpleNamespace(w=len(cols), cols=cols, pas=pas, runs=[extract_runs(c) for c in cols])
 
 
-def pos_lookup_fore(pc):
+def prefix_arrays(p: Panel, first=None) -> list[np.ndarray]:
+    """Each column's prefix array, as ``column_orders`` yields it."""
+    return [order for _, order in column_orders(p, first)]
+
+
+def pos_lookup_fore(p: Panel):
     """fore tables from prefix-array position lookups only: out[j][i-1] is the
     1-based target of position i in column j, or 0 where undefined."""
+    pas = prefix_arrays(p)
     tables = []
-    for j in range(1, pc.w):
-        nxt = {int(rid): k for k, rid in enumerate(pc.pas[j], 1)}
-        cur = pc.pas[j - 1]
-        tables.append(np.array([nxt.get(int(rid), 0) for rid in cur], np.int64))
+    for j in range(1, len(pas)):
+        nxt = {int(rid): k for k, rid in enumerate(pas[j], 1)}
+        tables.append(np.array([nxt.get(int(rid), 0) for rid in pas[j - 1]], np.int64))
     return tables
 
 
-def pos_lookup_back(pc):
+def pos_lookup_back(p: Panel):
+    pas = prefix_arrays(p)
     tables = [None]
-    for j in range(2, pc.w + 1):
-        prv = {int(rid): k for k, rid in enumerate(pc.pas[j - 2], 1)}
-        cur = pc.pas[j - 1]
-        tables.append(np.array([prv[int(rid)] for rid in cur], np.int64))
+    for j in range(2, len(pas) + 1):
+        prv = {int(rid): k for k, rid in enumerate(pas[j - 2], 1)}
+        tables.append(np.array([prv[int(rid)] for rid in pas[j - 1]], np.int64))
     return tables
 
 

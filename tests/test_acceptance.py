@@ -12,7 +12,7 @@ import pytest
 from pbwtstep.bounds import check_bounds
 from pbwtstep.io import build_index, load_index, save_index
 from pbwtstep.panel import Panel
-from pbwtstep.pbwt import build_pbwt
+from pbwtstep.pbwt import build_pbwt, column_orders
 from pbwtstep.stepindex import build_step_index
 from pbwtstep.subruns import build_back_subruns, build_fore_subruns, normalize
 
@@ -95,7 +95,7 @@ def test_c04_stepping_oracle_equivalence(corpus):
     t0 = time.perf_counter()
     steps = 0
     for p, pc, _, st in corpus:
-        fore_t, back_t = pos_lookup_fore(pc), pos_lookup_back(pc)
+        fore_t, back_t = pos_lookup_fore(p), pos_lookup_back(p)
         for i0 in range(1, pc.h + 1):
             i, x = i0, st.find_fore_subrun(1, i0)
             for j in range(1, pc.w):
@@ -118,7 +118,7 @@ def test_c04_stepping_oracle_equivalence(corpus):
 
 def test_c05_run_count_bounds(corpus):
     for p, pc, _, st in corpus:
-        rep = check_bounds(p, pc)
+        rep = check_bounds(p)
         assert rep.passed, rep.checks
         assert rep.total_runs >= rep.h_pp + 1
         assert rep.total_runs >= rep.distinct
@@ -181,9 +181,10 @@ def test_c09_ragged_mode():
         p = rand_panel(rng, h_max=16, w_max=12, ragged=True)
         pc = build_pbwt(p)
         ref = build_pbwt_reference(p)
-        for j in range(1, pc.w + 1):
+        for j, (col, pa) in enumerate(column_orders(p), 1):
+            assert np.array_equal(col, ref.cols[j - 1]) and np.array_equal(pa, ref.pas[j - 1])
             assert np.array_equal(pc.cols[j - 1], ref.cols[j - 1])
-            assert np.array_equal(pc.pas[j - 1], ref.pas[j - 1])
+            assert np.array_equal(pc.run_rows[j - 1], ref.pas[j - 1][pc.runs_at(j) - 1])
         no_term = sum(int(np.count_nonzero(pc.cols[j - 1][pc.runs_at(j) - 1] != 0))
                       for j in range(1, pc.w + 1))
         assert pc.total_runs <= no_term + p.h

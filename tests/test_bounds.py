@@ -1,10 +1,9 @@
 import pytest
 
-from pbwtstep.bounds import adjacent_distinct_pairs, canonical_intervals, check_bounds
+from pbwtstep.bounds import adjacent_distinct_pairs, check_bounds
 from pbwtstep.panel import Panel
-from pbwtstep.pbwt import build_pbwt
 
-from conftest import rand_panel
+from conftest import prefix_arrays, rand_panel
 
 SMALL = Panel.from_strings(["01", "10", "00"])
 
@@ -15,13 +14,17 @@ def test_adjacent_distinct_examples():
     assert adjacent_distinct_pairs(Panel.from_strings(["00", "01", "10", "11"])) == 3
 
 
+def _canonical_counts(p):
+    """Per column, the maximal blocks of its prefix array whose full rows are
+    identical, counted by direct row comparison."""
+    rows = [tuple(r.tolist()) for r in p.rows]
+    return [1 + sum(rows[a - 1] != rows[b - 1] for a, b in zip(pa.tolist(), pa.tolist()[1:]))
+            for pa in prefix_arrays(p)]
+
+
 def test_canonical_examples():
-    p = Panel.from_strings(["01"] * 4)
-    pc = build_pbwt(p)
-    assert [s.tolist() for s in canonical_intervals(pc, p)] == [[1], [1]]
-    p = Panel.from_strings(["00", "01", "10", "11"])
-    pc = build_pbwt(p)
-    assert [len(s) for s in canonical_intervals(pc, p)] == [4, 4]
+    assert check_bounds(Panel.from_strings(["01"] * 4)).ell_per_col == [1, 1]
+    assert check_bounds(Panel.from_strings(["00", "01", "10", "11"])).ell_per_col == [4, 4]
 
 
 def test_canonical_against_row_scan(rng):
@@ -29,26 +32,11 @@ def test_canonical_against_row_scan(rng):
     panels += [Panel.from_strings(["0120"] * 7),                          # all identical
                Panel.from_strings([format(i, "05b") for i in (9, 3, 30, 0, 17, 6)])]
     for p in panels:
-        pc = build_pbwt(p)
-        rows = [tuple(r.tolist()) for r in p.rows]
-        canonical = canonical_intervals(pc, p)
-        assert len(canonical) == pc.w
-        for j in range(1, pc.w + 1):
-            got = canonical[j - 1].tolist()
-            pa = pc.pas[j - 1].tolist()
-            # maximality and equality by direct row comparison
-            assert got[0] == 1
-            for b, e in zip(got, [s - 1 for s in got[1:]] + [len(pa)]):
-                block = [rows[r - 1] for r in pa[b - 1:e]]
-                assert len(set(block)) == 1
-                if b > 1:
-                    assert rows[pa[b - 2] - 1] != block[0]
-                if e < len(pa):
-                    assert rows[pa[e] - 1] != block[0]
-    assert [s.tolist() for s in canonical_intervals(build_pbwt(panels[-2]), panels[-2])] \
-        == [[1]] * 4
-    assert [s.tolist() for s in canonical_intervals(build_pbwt(panels[-1]), panels[-1])] \
-        == [list(range(1, 7))] * 5
+        rep = check_bounds(p)
+        assert len(rep.ell_per_col) == len(rep.r_per_col) == p.w
+        assert rep.ell_per_col == _canonical_counts(p)
+    assert check_bounds(panels[-2]).ell_per_col == [1] * 4
+    assert check_bounds(panels[-1]).ell_per_col == [6] * 5
 
 
 def test_small_report_values():

@@ -89,7 +89,7 @@ def test_back_map_example():
     pieces, src = normalize(image, 16, np.array(REF_LAYOUT))
     assert pieces.tolist() == [1, 2, 6, 11, 12]
     back = live[src] + pieces - image[src]
-    assert np.array_equal(back, pos_lookup_back(pc)[1][pieces - 1])
+    assert np.array_equal(back, pos_lookup_back(PANEL_B)[1][pieces - 1])
     assert sorted(back.tolist()) == FORE_CUR
 
 

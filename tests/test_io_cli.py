@@ -5,6 +5,7 @@ import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 import zlib
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 from pbwtstep.cli import main
 from pbwtstep.io import (IndexFormatError, MAGIC, build_index, load_index,
-                         load_panel, parse_panel_text, parse_pattern, save_index)
+                         load_panel, parse_panel, parse_pattern, save_index)
 from pbwtstep.panel import Panel, PanelError
 
 from conftest import pattern_battery, rand_panel
@@ -20,18 +21,18 @@ from test_golden_fixtures import PANEL_A, PANEL_B
 
 
 def test_parse_digit_matrix():
-    p, fmt = parse_panel_text("01\n10\n00\n")
+    p, fmt = parse_panel(b"01\n10\n00\n")
     assert fmt == "digits" and p.h == 3 and p.w == 2 and p.sigma == 2
 
 
 def test_parse_token_format():
-    p, fmt = parse_panel_text("3 0 1\n1 2 0\n")
+    p, fmt = parse_panel(b"3 0 1\n1 2 0\n")
     assert fmt == "tokens" and p.h == 2 and p.w == 3
     assert p.sigma == 4
 
 
 def test_parse_header_sigma():
-    p, _ = parse_panel_text("#h=2 w=2 sigma=5\n01\n10\n")
+    p, _ = parse_panel(b"#h=2 w=2 sigma=5\n01\n10\n")
     assert p.sigma == 5
 
 
@@ -44,13 +45,14 @@ def test_parse_malformed_line(tmp_path, capsys):
                       ("# a\fb\n01\n0x\n", "malformed line 3: '0x'"),
                       ("#sigma=two\n01\n", "malformed header on line 1: '#sigma=two'"),
                       ("01\n\n# h=2, sigma=\u0663\n10\n",
-                       "malformed header on line 3: '# h=2, sigma=\u0663'")):
+                       "malformed header on line 3: '# h=2, sigma=\ufffd\ufffd'")):
+        # a non-ASCII byte reads as U+FFFD, so the two UTF-8 bytes of U+0663 as two
         with pytest.raises(PanelError) as err:
-            parse_panel_text(text)
+            parse_panel(text.encode())
         assert str(err.value) == msg
         path.write_text(text, encoding="utf-8")
         assert main(["build", str(path), "-o", str(tmp_path / "ix.bin")]) == 3
-        assert capsys.readouterr().err.strip().endswith(msg.replace("\u0663", "\ufffd\ufffd"))
+        assert capsys.readouterr().err.strip().endswith(msg)
 
 
 def _oracle_parse(text):
@@ -81,19 +83,27 @@ def _digit_panel_text(rng, ragged):
     return lines
 
 
-def test_parse_matches_per_character_oracle(rng):
+def test_parse_matches_per_character_oracle(rng, tmp_path):
+    # the bytes parsed in memory and the same bytes read from a file; lines
+    # end at \n, \r\n or a bare \r, and some lines are padded with blanks
+    path = tmp_path / "panel.txt"
+    pads = ["", "", " ", "\t", " \t "]
     for k in range(120):
         ragged = k % 2 == 1
-        lines = _digit_panel_text(rng, ragged)
-        text = ("\r\n" if k % 3 else "\n").join(lines) + ("\r\n" if k % 4 else "")
+        lines = [pads[int(rng.integers(0, 5))] + ln + pads[int(rng.integers(0, 5))]
+                 for ln in _digit_panel_text(rng, ragged)]
+        eol = ("\n", "\r\n", "\r")[k % 3]
+        text = eol.join(lines) + (eol if k % 4 else "")
         rows, sigma = _oracle_parse(text)
         if not rows:        # every row empty: a blank file
             continue
-        p, fmt = parse_panel_text(text, ragged=ragged)
-        assert fmt == "digits" and p.ragged == ragged
-        assert [r.tolist() for r in p.rows] == rows
-        want_sigma = sigma if sigma is not None else max(max(r, default=0) for r in rows) + 1
-        assert p.sigma == want_sigma
+        path.write_bytes(text.encode())
+        for p, fmt in (parse_panel(text.encode(), ragged=ragged),
+                       load_panel(str(path), ragged=ragged)):
+            assert fmt == "digits" and p.ragged == ragged
+            assert [r.tolist() for r in p.rows] == rows
+            want_sigma = sigma if sigma is not None else max(max(r, default=0) for r in rows) + 1
+            assert p.sigma == want_sigma
 
 
 def test_parse_bad_byte_names_its_line(rng):
@@ -108,7 +118,7 @@ def test_parse_bad_byte_names_its_line(rng):
         bad = "x-+./:a"[int(rng.integers(0, 7))]
         lines[k] = lines[k][:pos] + bad + lines[k][pos:]
         with pytest.raises(PanelError) as err:
-            parse_panel_text("\n".join(lines), fmt="digits", ragged=True)
+            parse_panel("\n".join(lines).encode(), fmt="digits", ragged=True)
         assert str(err.value) == f"malformed line {k + 1}: {lines[k]!r}"
 
 
@@ -116,15 +126,32 @@ def test_parse_rejects_non_ascii_digits():
     # int() accepts other scripts' digits; a digit panel is ASCII only
     for text in ("0\u0663\n", "01\n1\uff11\n"):
         with pytest.raises(PanelError, match="malformed line"):
-            parse_panel_text(text)
+            parse_panel(text.encode())
     with pytest.raises(PanelError, match="malformed line 2"):
         Panel.from_strings(["01", "0\u0663"])
 
 
+def test_load_panel_peak_memory(tmp_path):
+    # the file is read into one buffer and decoded in place, and the matrix is
+    # one gather from it: the traced peak stays within 3.5 times the file size
+    rows = np.random.default_rng(7).integers(0, 4, size=(2000, 300), dtype=np.uint8)
+    path = tmp_path / "panel.txt"
+    path.write_bytes(b"#sigma=4\n" + b"".join((r + ord("0")).tobytes() + b"\n" for r in rows))
+    load_panel(str(path))       # first-call allocations are not the parser's
+    tracemalloc.start()
+    try:
+        p, fmt = load_panel(str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fmt == "digits" and p.sigma == 4 and np.array_equal(p.mat, rows)
+    assert peak <= 3.5 * path.stat().st_size, peak / path.stat().st_size
+
+
 def test_parse_mixed_lengths_needs_ragged():
     with pytest.raises(PanelError, match="mixed lengths"):
-        parse_panel_text("01\n100\n")
-    p, _ = parse_panel_text("01\n100\n", ragged=True)
+        parse_panel(b"01\n100\n")
+    p, _ = parse_panel(b"01\n100\n", ragged=True)
     assert p.ragged
 
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from pbwtstep.io import build_index, parse_panel_text
+from pbwtstep.io import build_index, parse_panel
 from pbwtstep.panel import Panel
-from pbwtstep.pbwt import build_pbwt, extract_runs
+from pbwtstep.pbwt import build_pbwt, column_orders, extract_runs
 from pbwtstep.subruns import fore_image
 
-from conftest import build_pbwt_reference, pos_lookup_back, pos_lookup_fore, rand_panel
+from conftest import (build_pbwt_reference, pos_lookup_back, pos_lookup_fore, prefix_arrays,
+                      rand_panel)
 
 SMALL = Panel.from_strings(["01", "10", "00"])
 
@@ -14,9 +15,10 @@ SMALL = Panel.from_strings(["01", "10", "00"])
 def test_small_panel_columns():
     pc = build_pbwt(SMALL)
     assert pc.cols[0].tolist() == [0, 1, 0]
-    assert pc.pas[1].tolist() == [1, 3, 2]
+    assert prefix_arrays(SMALL)[1].tolist() == [1, 3, 2]
     assert pc.cols[1].tolist() == [1, 0, 0]
     assert pc.total_runs == 5
+    assert [r.tolist() for r in pc.run_rows] == [[1, 2, 3], [1, 3]]
 
 
 def test_identical_rows_single_run():
@@ -24,7 +26,7 @@ def test_identical_rows_single_run():
     pc = build_pbwt(p)
     assert all(len(pc.runs_at(j)) == 1 for j in range(1, 5))
     assert pc.total_runs == 4
-    for table in pos_lookup_fore(pc) + pos_lookup_back(pc)[1:]:
+    for table in pos_lookup_fore(p) + pos_lookup_back(p)[1:]:
         assert table.tolist() == list(range(1, 8))
 
 
@@ -33,7 +35,7 @@ def test_worked_example_panel():
     # lands on 2, inside the first run of column 5
     p = Panel.from_strings(["00000", "00111", "00011", "00100", "00011"])
     pc = build_pbwt(p)
-    target = int(pos_lookup_fore(pc)[3][4])
+    target = int(pos_lookup_fore(p)[3][4])
     assert target == 2
     assert np.searchsorted(pc.runs_at(5), target, side="right") == 1
 
@@ -63,8 +65,9 @@ def test_extract_runs_examples():
 def test_stepping_is_monotone_and_adjacent(rng):
     # equal symbols map order-preserving; adjacent equal symbols map adjacently
     for _ in range(40):
-        pc = build_pbwt(rand_panel(rng))
-        for j, table in enumerate(pos_lookup_fore(pc), 1):
+        p = rand_panel(rng)
+        pc = build_pbwt(p)
+        for j, table in enumerate(pos_lookup_fore(p), 1):
             col, f = pc.cols[j - 1], table.tolist()
             for i in range(1, pc.h):
                 if col[i - 1] == col[i]:
@@ -77,21 +80,31 @@ def test_stepping_is_monotone_and_adjacent(rng):
                         break
 
 
+def _check_against_reference(p):
+    """``column_orders`` and ``build_pbwt`` against the comparison sort: every
+    column's symbols and prefix array, its runs and the row at each run start."""
+    pc, ref = build_pbwt(p), build_pbwt_reference(p)
+    orders = list(column_orders(p))
+    assert pc.w == len(orders) == ref.w
+    for j in range(1, pc.w + 1):
+        col, pa = orders[j - 1]
+        assert np.array_equal(col, ref.cols[j - 1]) and np.array_equal(pa, ref.pas[j - 1])
+        assert np.array_equal(pc.cols[j - 1], ref.cols[j - 1])
+        assert np.array_equal(pc.runs_at(j), ref.runs[j - 1])
+        assert np.array_equal(pc.run_rows[j - 1], ref.pas[j - 1][ref.runs[j - 1] - 1])
+    return pc
+
+
 def test_counting_matches_comparison_sort(rng):
     for _ in range(60):
-        p = rand_panel(rng)
-        pc, ref = build_pbwt(p), build_pbwt_reference(p)
-        for j in range(1, pc.w + 1):
-            assert np.array_equal(pc.cols[j - 1], ref.cols[j - 1])
-            assert np.array_equal(pc.pas[j - 1], ref.pas[j - 1])
+        _check_against_reference(rand_panel(rng))
 
 
 def test_sort_stability_on_duplicate_prefixes():
     # rows with equal prefixes must keep their id order in every column
     p = Panel.from_strings(["0011", "0010", "0011", "0010", "0011"])
-    pc = build_pbwt(p)
-    for j in range(1, pc.w + 1):
-        pa = pc.pas[j - 1].tolist()
+    for j, pa in enumerate(prefix_arrays(p), 1):
+        pa = pa.tolist()
         prefixes = {}
         for pos, rid in enumerate(pa):
             key = tuple(p.rows[rid - 1][:j - 1].tolist())
@@ -103,14 +116,11 @@ def test_sort_stability_on_duplicate_prefixes():
 def test_ragged_columns_list_alive_rows(rng):
     for _ in range(40):
         p = rand_panel(rng, ragged=True)
-        pc = build_pbwt(p)
-        ref = build_pbwt_reference(p)
+        pc = _check_against_reference(p)
         lens = [len(r) + 1 for r in p.rows]
-        for j in range(1, pc.w + 1):
+        for j, pa in enumerate(prefix_arrays(p), 1):
             alive = [i for i in range(1, p.h + 1) if lens[i - 1] >= j]
-            assert sorted(pc.pas[j - 1].tolist()) == alive
-            assert np.array_equal(pc.pas[j - 1], ref.pas[j - 1])
-            assert np.array_equal(pc.cols[j - 1], ref.cols[j - 1])
+            assert sorted(pa.tolist()) == alive
         # terminator appears once per row across all columns
         assert sum(int(np.count_nonzero(pc.cols[j - 1] == 0))
                    for j in range(1, pc.w + 1)) == p.h
@@ -130,8 +140,9 @@ def test_fore_tables_match_naive(rng):
     # ragged terminator runs have no target and read 0
     for ragged in (False, True):
         for _ in range(30):
-            pc = build_pbwt(rand_panel(rng, ragged=ragged))
-            for j, table in enumerate(pos_lookup_fore(pc), 1):
+            p = rand_panel(rng, ragged=ragged)
+            pc = build_pbwt(p)
+            for j, table in enumerate(pos_lookup_fore(p), 1):
                 runs = pc.runs_at(j)
                 image, live = fore_image(pc, j, runs)
                 targets = dict(zip(live.tolist(), image.tolist()))
@@ -140,10 +151,7 @@ def test_fore_tables_match_naive(rng):
 
 
 def _check_against_reference_and_extract(p):
-    pc, ref = build_pbwt(p), build_pbwt_reference(p)
-    for j in range(1, pc.w + 1):
-        assert np.array_equal(pc.cols[j - 1], ref.cols[j - 1])
-        assert np.array_equal(pc.pas[j - 1], ref.pas[j - 1])
+    pc = _check_against_reference(p)
     ret = build_index(p).retrieval
     for i in range(1, p.h + 1):
         assert ret.extract(i) == p.rows[i - 1].tolist()
@@ -155,8 +163,9 @@ def test_row_id_dtype_boundary(rng, h):
     # row ids switch from uint8 to uint16 past 255
     p = Panel.from_rows(rng.integers(0, 3, size=(h, 5)) * (rng.random((h, 5)) < 0.3), sigma=3)
     pc = _check_against_reference_and_extract(p)
-    assert pc.pas[0].dtype.itemsize == (1 if h == 255 else 2)
-    for j, table in enumerate(pos_lookup_fore(pc), 1):
+    assert pc.run_rows[0].dtype.itemsize == (1 if h == 255 else 2)
+    assert prefix_arrays(p)[0].dtype.itemsize == (1 if h == 255 else 2)
+    for j, table in enumerate(pos_lookup_fore(p), 1):
         image, live = fore_image(pc, j, pc.runs_at(j))
         assert np.array_equal(image, table[live - 1])
 
@@ -167,7 +176,7 @@ def test_symbol_dtype_boundary(rng, sigma, ragged):
     rows = [[sigma - 1] * 4] + [rng.integers(sigma - 3, sigma, size=int(rng.integers(
         0 if ragged else 4, 5))).tolist() for _ in range(40)]
     text = f"#sigma={sigma}\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows)
-    p, fmt = parse_panel_text(text, fmt="tokens", ragged=ragged)
+    p, fmt = parse_panel(text.encode(), fmt="tokens", ragged=ragged)
     assert fmt == "tokens" and p.sigma == sigma
     pc = _check_against_reference_and_extract(p)
     assert pc.cols[0].dtype.itemsize == (1 if sigma + ragged <= 256 else 2)

@@ -9,7 +9,8 @@ from pbwtstep.pbwt import build_pbwt
 from pbwtstep.prefixsearch import PrefixSearchIndex, sort_panel
 from pbwtstep.stepindex import assemble_step_index
 
-from conftest import pattern_battery, prefix_index, rand_panel, scan_prefix
+from conftest import (build_pbwt_reference, pattern_battery, prefix_arrays, prefix_index,
+                      rand_panel, scan_prefix)
 
 SMALL = Panel.from_strings(["01", "10", "00"])
 
@@ -249,5 +250,22 @@ def test_sorted_build_equals_build_of_presorted_panel(rng):
         for name in ("col_lens", "fore_starts", "fore_vals", "back_starts"):
             assert np.array_equal(getattr(got.step, name), getattr(ref.step, name)), name
         assert np.array_equal(got.prefix.pa_at_start, ref.prefix.pa_at_start)
-        for pa, ref_pa in zip(build_pbwt(p, ids).pas, build_pbwt(presorted).pas):
+        for pa, ref_pa in zip(prefix_arrays(p, ids), prefix_arrays(presorted)):
             assert pa.tolist() == ids[ref_pa - 1].tolist()
+
+
+def test_samples_equal_reference_prefix_arrays(rng):
+    # the samples carried from run starts along fore_lam are the comparison
+    # sort's prefix-array entries at the fore sub-run starts; a sorted index
+    # numbers rows by sorted position, as the presorted panel's reference does
+    for k in range(320):
+        p = rand_panel(rng, ragged=k % 2 == 1)
+        sorted_rows = k % 4 >= 2
+        ix = build_index(p, sorted_rows=sorted_rows, fore_only=k % 3 == 0)
+        if sorted_rows:
+            p = Panel.from_rows([p.rows[i - 1] for i in ix.prefix.orig_ids.tolist()],
+                                sigma=p.sigma, ragged=p.ragged)
+        st, ref = ix.step, build_pbwt_reference(p)
+        f = st.fore_first.tolist()
+        want = [pa[st.fore_starts[a:b] - 1] for pa, a, b in zip(ref.pas, f, f[1:])]
+        assert ix.prefix.pa_at_start.tolist() == np.concatenate(want).tolist()

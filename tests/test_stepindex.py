@@ -9,7 +9,7 @@ from pbwtstep.retrieval import RetrievalIndex
 from pbwtstep.stepindex import assemble_step_index, build_step_index
 from pbwtstep.subruns import build_back_subruns, build_fore_subruns
 
-from conftest import in_subrun, pos_lookup_back, pos_lookup_fore, rand_panel
+from conftest import in_subrun, pos_lookup_back, pos_lookup_fore, prefix_arrays, rand_panel
 
 SMALL = Panel.from_strings(["01", "10", "00"])
 
@@ -36,7 +36,7 @@ def test_chains_match_position_lookup(rng):
     for _ in range(60):
         p = rand_panel(rng)
         pc, (fore, back), st = build_all(p)
-        fore_t, back_t = pos_lookup_fore(pc), pos_lookup_back(pc)
+        fore_t, back_t = pos_lookup_fore(p), pos_lookup_back(p)
         for i0 in range(1, pc.h + 1):
             i, x = i0, st.find_fore_subrun(1, i0)
             for j in range(1, pc.w):
@@ -77,7 +77,7 @@ def test_tuple_lists_capped_and_tiling(rng):
         for _ in range(40):
             p = rand_panel(rng, ragged=ragged)
             pc, (fore, back), st = build_all(p)
-            fore_t = pos_lookup_fore(pc)
+            fore_t = pos_lookup_fore(p)
             for j in range(2, pc.w + 1):
                 nq = st.back_cols[j - 1].nquads
                 assert nq.size == len(back[j - 1])
@@ -114,9 +114,10 @@ def test_symbol_access(rng):
 
 def test_fore_step_small_example():
     # row 2 sits at position 2 of column 1 and position 3 of column 2
-    pc, _, st = build_all(SMALL)
+    _, _, st = build_all(SMALL)
     assert st.fore_step(2, 1, st.find_fore_subrun(1, 2))[0] == 3
-    assert pc.pas[1].tolist().index(int(pc.pas[0][1])) + 1 == 3
+    pas = prefix_arrays(SMALL)
+    assert pas[1].tolist().index(int(pas[0][1])) + 1 == 3
 
 
 def test_back_step_small_example():
@@ -157,12 +158,12 @@ def test_ragged_back_total_fore_partial(rng):
     for _ in range(25):
         p = rand_panel(rng, ragged=True)
         pc, (fore, back), st = build_all(p)
-        back_t = pos_lookup_back(pc)
+        back_t = pos_lookup_back(p)
         for j in range(pc.w, 1, -1):
             for i in range(1, pc.col_len(j) + 1):
                 x = st.find_back_subrun(j, i)
                 assert st.back_step(i, j, x)[0] == int(back_t[j - 1][i - 1])
-        fore_t = pos_lookup_fore(pc)
+        fore_t = pos_lookup_fore(p)
         for j in range(1, pc.w):
             for i in range(1, pc.col_len(j) + 1):
                 x = st.find_fore_subrun(j, i)

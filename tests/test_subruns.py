@@ -26,7 +26,7 @@ def test_fore_map_elementwise(rng):
         for _ in range(40):
             p = rand_panel(rng, h_max=12, ragged=ragged)
             pc = build_pbwt(p)
-            fore_t, back = pos_lookup_fore(pc), build_back_subruns(pc)
+            fore_t, back = pos_lookup_fore(p), build_back_subruns(pc)
             for j in range(1, pc.w):
                 for starts in (pc.runs_at(j), back[j - 1]):
                     image, live = fore_image(pc, j, starts)
@@ -57,7 +57,7 @@ def test_fore_pullback_lands_on_pieces(rng):
             p = rand_panel(rng, ragged=ragged)
             pc = build_pbwt(p)
             lists = build_fore_subruns(pc)
-            fore_t = pos_lookup_fore(pc)
+            fore_t = pos_lookup_fore(p)
             for j in range(1, pc.w):
                 image, _ = fore_image(pc, j, pc.runs_at(j))
                 pieces = set(normalize(image, pc.col_len(j + 1), lists[j])[0].tolist())
@@ -75,7 +75,7 @@ def test_back_map_inverts_fore_map(rng):
             p = rand_panel(rng, ragged=ragged)
             pc = build_pbwt(p)
             lists = build_fore_subruns(pc)
-            back_t = pos_lookup_back(pc)
+            back_t = pos_lookup_back(p)
             for j in range(1, pc.w):
                 image, live = fore_image(pc, j, pc.runs_at(j))
                 pos = np.arange(1, pc.col_len(j + 1) + 1)
