@@ -54,11 +54,11 @@ def parse_panel(data: bytes, fmt: str = "auto", ragged: bool = False) -> tuple[P
 
     Lines end at ``\n``, ``\r\n`` or a bare ``\r``, not at a form feed. The
     bytes become digit values in place (in a copy unless ``data`` is a
-    writable buffer such as a ``bytearray``), and the digit matrix is one
-    gather from them. Only the lines that are not pure digits are read as
-    text, with a non-ASCII byte as U+FFFD: headers, comments, blank, padded
-    and bad lines, and every line of a token file. Errors name the line of
-    the file, blank and ``#`` lines counted.
+    writable buffer such as a ``bytearray``), and the digit matrix is copied
+    from them once, a block of rows at a time. Only the lines that are not
+    pure digits are read as text, with a non-ASCII byte as U+FFFD: headers,
+    comments, blank, padded and bad lines, and every line of a token file.
+    Errors name the line of the file, blank and ``#`` lines counted.
     """
     buf = np.frombuffer(data, np.uint8)
     if not buf.flags.writeable:
@@ -78,7 +78,6 @@ def parse_panel(data: bytes, fmt: str = "auto", ragged: bool = False) -> tuple[P
     slow = np.zeros(starts.size, bool)
     slow[np.searchsorted(ends, odd[~(cr | lf)])] = True
     data_line = ~slow & (ends > starts)
-    del odd, ob, cr, lf, crlf, eol
     header_sigma, texts = None, {}
     for k in np.flatnonzero(slow).tolist():
         raw = (buf[starts[k]:ends[k]] + ord("0")).tobytes().decode("ascii", "replace")

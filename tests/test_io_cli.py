@@ -133,7 +133,7 @@ def test_parse_rejects_non_ascii_digits():
 
 def test_load_panel_peak_memory(tmp_path):
     # the file is read into one buffer and decoded in place, and the matrix is
-    # one gather from it: the traced peak stays within 3.5 times the file size
+    # copied from it once: the traced peak stays within 3.5 times the file size
     rows = np.random.default_rng(7).integers(0, 4, size=(2000, 300), dtype=np.uint8)
     path = tmp_path / "panel.txt"
     path.write_bytes(b"#sigma=4\n" + b"".join((r + ord("0")).tobytes() + b"\n" for r in rows))
