@@ -15,7 +15,7 @@ from .pbwt import PbwtColumns, build_pbwt, extract_runs
 from .prefixsearch import PrefixSearchIndex
 from .retrieval import RetrievalIndex
 from .stepindex import StepIndex, build_step_index
-from .subruns import build_back_subruns, build_fore_subruns, fore_image, normalize
+from .subruns import build_back_subruns, build_fore_subruns, normalize
 
 __version__ = "0.1.0"
 
@@ -24,6 +24,6 @@ __all__ = [
     "IndexFile", "IndexFormatError", "build_index", "load_index", "load_panel",
     "save_index", "Panel", "PanelError", "validate_panel", "PbwtColumns",
     "build_pbwt", "extract_runs", "PrefixSearchIndex", "RetrievalIndex",
-    "StepIndex", "build_step_index", "build_back_subruns", "build_fore_subruns", "fore_image",
+    "StepIndex", "build_step_index", "build_back_subruns", "build_fore_subruns",
     "normalize", "__version__",
 ]

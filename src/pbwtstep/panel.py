@@ -103,8 +103,8 @@ def validate_panel(p: Panel) -> None:
     if bad.size:
         i = int(bad[0])
         raise PanelError(f"row {i + 1} has length {int(p.lens[i])}, not in [0..{p.w}]")
-    if p.sigma < 1:
-        raise PanelError(f"alphabet size {p.sigma} < 1")
+    if not 1 <= p.sigma < 2**62:     # the step tables' limit (assemble_step_index)
+        raise PanelError(f"alphabet size {p.sigma} " + ("< 1" if p.sigma < 1 else ">= 2^62"))
     if not p.ragged:
         if p.lens.min() != p.w:
             raise PanelError(f"mixed lengths {np.unique(p.lens).tolist()} in fixed-length mode")

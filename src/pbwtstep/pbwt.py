@@ -15,7 +15,7 @@ terminator positions, while the backward step to column j-1 is always defined.
 build keeps the symbols and, of each prefix array, only the row at each run
 start, in the smallest unsigned dtypes that hold the internal alphabet and h.
 No forward targets are kept: a row holding c at s goes to C[c] + rank_c(s),
-which ``subruns.fore_image`` reads off a stable sort by symbol.
+which ``stepindex.fore_shift`` reads off one stable sort by symbol.
 """
 
 from __future__ import annotations

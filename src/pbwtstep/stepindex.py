@@ -171,7 +171,7 @@ def narrow(a, dtype) -> np.ndarray:
     return a.astype(dtype, copy=False)
 
 
-def _split_columns(starts: np.ndarray, col_lens: np.ndarray, side: str):
+def split_columns(starts: np.ndarray, col_lens: np.ndarray, side: str):
     """Each flat start's column, each column's first flat index then the count
     (both intp, for indexing), and one past each sub-run's last row. A
     column's starts begin at 1, which marks the boundaries, and strictly
@@ -189,6 +189,24 @@ def _split_columns(starts: np.ndarray, col_lens: np.ndarray, side: str):
     return col, first, ends
 
 
+def fore_shift(starts, lens, sym, col, first, lo: int):
+    """The forward map of parts that each lie in one run, listed column by
+    column (``col``: each part's 0-based column; ``first``: each column's
+    first part, then the count). A part of symbol c at s goes to C[c] +
+    rank_c(s), so one stable sort on (column, symbol) lays the images out in
+    order; parts below ``lo`` (terminators) sort first and have no image.
+    Returns that order, the 1-based image starts in it, and each part's
+    shift, image start minus start (0 on a terminator)."""
+    order = np.lexsort((sym, col))
+    live = sym[order] >= lo
+    slive = lens[order] * live
+    image = np.cumsum(slive, dtype=lens.dtype) - slive
+    image -= image[first[:-1]][col[order]] - 1
+    delta = np.zeros_like(starts)
+    delta[order] = (image - starts[order]) * live
+    return order, image, delta
+
+
 def assemble_step_index(h: int, w: int, sigma: int, ragged: bool,
                         col_lens, fore_starts, fore_vals, back_starts) -> StepIndex:
     """Derive the step tables from the stored arrays, which hold every
@@ -203,7 +221,7 @@ def assemble_step_index(h: int, w: int, sigma: int, ragged: bool,
     col_lens, fs, fv = (narrow(a, dt) for a in (col_lens, fore_starts, fore_vals))
     if col_lens.size != w or int(col_lens[0]) != h or fv.size != fs.size:
         raise ValueError("array sizes do not match the dimensions")
-    fcol, ffirst, fends = _split_columns(fs, col_lens, "fore")
+    fcol, ffirst, fends = split_columns(fs, col_lens, "fore")
     if ((fv < 0) | (fv >= sigma)).any():
         raise ValueError("fore sub-run symbol outside the alphabet")
     lo = int(ragged)
@@ -212,18 +230,12 @@ def assemble_step_index(h: int, w: int, sigma: int, ragged: bool,
         raise ValueError("column lengths differ from the rows stepping into them")
     base = np.cumsum(col_lens, dtype=dt) - col_lens    # row i of column j sits at base[j-1] + i
     fglob = base[fcol] + fs
-    # the images and rank/select: one stable sort on (column, symbol)
-    order = np.lexsort((fv, fcol))
+    # the images and rank/select share one stable sort on (column, symbol);
+    # every live sub-run has an image, column w's in a virtual column w+1
+    order, simage, delta = fore_shift(fs, fends - fs, fv, fcol, ffirst, lo)
     scol, ssym, slen = fcol[order], fv[order], (fends - fs)[order]
     del fcol
     offsets = np.flatnonzero(np.append(True, (scol[1:] != scol[:-1]) | (ssym[1:] != ssym[:-1])))
-    slive = slen * (ssym >= lo)                    # terminators sort first and add nothing
-    simage = np.cumsum(slive, dtype=dt) - slive
-    del slive
-    simage -= simage[ffirst[:-1]][scol] - 1
-    # every live sub-run's image, column w's in a virtual column w+1
-    delta = np.zeros_like(fs)
-    delta[order] = (simage - fs[order]) * (ssym >= lo)
     # the next column's sub-runs under each image, searched in sort order,
     # where the images ascend
     ssteps = np.flatnonzero((ssym >= lo) & (scol < w - 1))
@@ -251,7 +263,7 @@ def assemble_step_index(h: int, w: int, sigma: int, ragged: bool,
     back = {}
     if back_starts is not None:
         bs = narrow(back_starts, dt)
-        bcol, bfirst, bends = _split_columns(bs, col_lens, "back")
+        bcol, bfirst, bends = split_columns(bs, col_lens, "back")
         if bs.size >= 2 * total_runs:
             raise ValueError(f"{bs.size} back sub-runs, not fewer than 2*total_runs")
         bglob = base[bcol] + bs
@@ -273,7 +285,7 @@ def assemble_step_index(h: int, w: int, sigma: int, ragged: bool,
         piece_starts = pglob - base[bcol[src] + 1]
         # the pieces tile columns 2..w, so they split like sub-runs and the
         # searches below stay in the column
-        _, _, piece_ends = _split_columns(piece_starts, col_lens[1:], "piece")
+        _, _, piece_ends = split_columns(piece_starts, col_lens[1:], "piece")
         t = int(bfirst[1])
         first = np.searchsorted(pglob, bglob[t:], side="right") - 1
         nq = np.searchsorted(pglob, base[bcol[t:]] + bends[t:] - 1, side="right") - first

@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the library's fast paths: the PBWT is
 checked against a comparison sort, stepping against prefix-array position
 lookups, prefix search against the selftest's row scan, normalization
-against an O(n^2) splitter.
+against an O(n^2) splitter, and the flat sub-run builders against builders
+that sort and cut one column at a time.
 """
 
 from types import SimpleNamespace
@@ -15,6 +16,8 @@ from pbwtstep.io import build_index
 from pbwtstep.panel import Panel
 from pbwtstep.pbwt import column_orders, extract_runs, internal_matrix
 from pbwtstep.selftest import scan_prefix_oracle as scan_prefix  # row-scan prefix oracle
+from pbwtstep.stepindex import fore_shift
+from pbwtstep.subruns import normalize
 
 
 def rand_partition(rng, n, max_parts=None):
@@ -58,6 +61,26 @@ def in_subrun(first, starts, ends, j, x, i):
     tables (``first``: each column's first flat index, then the count)."""
     g = first[j - 1] + x - 1
     return 1 <= x <= first[j] - first[j - 1] and starts[g] <= i < ends[g]
+
+
+def flat_fore_image(pc, j, starts):
+    """``stepindex.fore_shift`` on column-j parts that each lie in one run:
+    the image starts in column j+1, ascending, and the starts of the live
+    parts in the same order."""
+    sym = pc.cols[j - 1][starts - 1]
+    lens = np.append(starts[1:], pc.col_len(j) + 1) - starts
+    order, image, _ = fore_shift(starts, lens, sym, np.zeros(starts.size, np.intp),
+                                 np.array([0, starts.size]), int(pc.ragged))
+    live = sym[order] >= pc.ragged
+    return image[live], starts[order][live]
+
+
+def normalized_pieces(starts, n, ref):
+    """The parts of a partition of [1..n] cut by ``normalize`` against
+    ``ref``: the piece starts and, per piece, the 0-based part it came from."""
+    starts, ref = np.asarray(starts, np.int64), np.asarray(ref, np.int64)
+    k, cuts = normalize(np.stack((starts, np.append(starts[1:] - 1, n)), 1).ravel(), ref)
+    return np.sort(np.concatenate((starts, cuts))), np.repeat(np.arange(starts.size), k + 1)
 
 
 def prefix_index(p: Panel, sorted_rows=False):
@@ -137,6 +160,61 @@ def brute_normalize(parts, ref):
             out.append((b, d))
             b = d + 1
     return out
+
+
+def reference_normalize(starts, n, ref):
+    """Oracle for ``normalize`` on one column: the parts of a partition of
+    [1..n] split so that each piece overlaps at most three intervals of
+    ``ref``. Returns the piece starts and, per piece, the 0-based index of
+    the part it came from."""
+    starts = np.asarray(starts, dtype=np.int64)
+    ref = np.asarray(ref, dtype=np.int64)
+    ends = np.append(starts[1:] - 1, n)
+    qa = np.searchsorted(ref, starts, side="right") - 1
+    cuts = (np.searchsorted(ref, ends, side="right") - 1 - qa) // 3
+    src = np.repeat(np.arange(starts.size), cuts + 1)
+    first = np.cumsum(cuts + 1) - (cuts + 1)        # each part's first piece
+    t = np.arange(src.size) - first[src]            # piece number within its part
+    pieces = np.where(t == 0, starts[src], ref[qa[src] + 3 * t])
+    return pieces, src
+
+
+def reference_fore_image(pc, j, starts):
+    """Forward image of column-j parts that each lie inside one run, by a
+    per-column stable sort on symbol: the image starts in column j+1,
+    ascending, and the starts of the live parts in the same order."""
+    if not 1 <= j < pc.w:
+        raise ValueError(f"column {j} has no forward image")
+    sym = pc.cols[j - 1][starts - 1]
+    # terminator parts sort first and drop out
+    order = np.argsort(sym, kind="stable")[np.count_nonzero(sym < pc.ragged):]
+    lens = (np.append(starts[1:], pc.col_len(j) + 1) - starts)[order]
+    return np.cumsum(lens) - lens + 1, starts[order]
+
+
+def reference_back_subruns(pc):
+    """Per-column oracle for ``build_back_subruns``: each column's runs
+    normalized against the forward image of the previous list."""
+    lists = [pc.runs_at(1)]
+    for j in range(2, pc.w + 1):
+        image, _ = reference_fore_image(pc, j - 1, lists[-1])
+        lists.append(reference_normalize(pc.runs_at(j), pc.col_len(j), image)[0])
+    return lists
+
+
+def reference_fore_subruns(pc):
+    """Per-column oracle for ``build_fore_subruns``: each column's run image
+    normalized against the next list and the pieces pulled back by the
+    run's shift; terminator runs pass through."""
+    w = pc.w
+    lists = [pc.runs_at(w)] * w
+    for j in range(w - 1, 0, -1):
+        runs = pc.runs_at(j)
+        image, live = reference_fore_image(pc, j, runs)
+        pieces, src = reference_normalize(image, pc.col_len(j + 1), lists[j])
+        dead = runs[pc.cols[j - 1][runs - 1] < pc.ragged]
+        lists[j - 1] = np.sort(np.concatenate((live[src] + pieces - image[src], dead)))
+    return lists
 
 
 def pattern_battery(rng, p: Panel, count=8):

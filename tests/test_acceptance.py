@@ -14,11 +14,11 @@ from pbwtstep.io import build_index, load_index, save_index
 from pbwtstep.panel import Panel
 from pbwtstep.pbwt import build_pbwt, column_orders
 from pbwtstep.stepindex import build_step_index
-from pbwtstep.subruns import build_back_subruns, build_fore_subruns, normalize
+from pbwtstep.subruns import build_back_subruns, build_fore_subruns
 
-from conftest import (build_pbwt_reference, in_subrun, pattern_battery, pos_lookup_back,
-                      pos_lookup_fore, prefix_index, rand_panel, rand_partition, retrieval_index,
-                      scan_prefix, starts_of)
+from conftest import (build_pbwt_reference, in_subrun, normalized_pieces, pattern_battery,
+                      pos_lookup_back, pos_lookup_fore, prefix_index, rand_panel, rand_partition,
+                      retrieval_index, scan_prefix, starts_of)
 import test_golden_fixtures as golden
 
 
@@ -63,7 +63,7 @@ def test_c01_normalization_bound():
     for _ in range(10000):
         n = int(rng.integers(1, 201))
         parts, ref = rand_partition(rng, n), rand_partition(rng, n)
-        pieces, _ = normalize(starts_of(parts), n, starts_of(ref))
+        pieces, _ = normalized_pieces(starts_of(parts), n, starts_of(ref))
         assert max(_overlap_counts(pieces, ref)) <= 3
         assert pieces.size <= len(parts) + len(ref) // 2
         worst_splits = max(worst_splits, pieces.size - len(parts))

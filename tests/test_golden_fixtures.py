@@ -6,9 +6,9 @@ import numpy as np
 from pbwtstep.panel import Panel
 from pbwtstep.pbwt import build_pbwt
 from pbwtstep.stepindex import build_step_index
-from pbwtstep.subruns import build_fore_subruns, fore_image, normalize
+from pbwtstep.subruns import build_fore_subruns
 
-from conftest import pos_lookup_back
+from conftest import flat_fore_image, normalized_pieces, pos_lookup_back
 
 # Partitions of [1..16] are written as their starts.
 # Panel A: column 1 carries runs {[1,2],[3,3],[4,8],[9,11],[12,13],[14,14],[15,16]},
@@ -41,21 +41,21 @@ def test_panel_a_run_layout():
 
 def test_fore_map_reference_layout():
     pc = build_pbwt(PANEL_A)
-    image, live = fore_image(pc, 1, BACK_PREV)
+    image, live = flat_fore_image(pc, 1, BACK_PREV)
     assert image.tolist() == REF_LAYOUT
     assert live.tolist() == [4, 6, 7, 1, 12, 14, 9, 3, 15]
 
 
 def test_normalization_example():
-    pieces, src = normalize(np.array([1, 2, 12]), 16, np.array(REF_LAYOUT))
+    pieces, src = normalized_pieces(np.array([1, 2, 12]), 16, np.array(REF_LAYOUT))
     assert pieces.tolist() == BACK_CUR.tolist()
     assert src.tolist() == [0, 1, 1, 1, 2]
 
 
 def test_back_subrun_refinement():
     pc = build_pbwt(PANEL_A)
-    image, _ = fore_image(pc, 1, BACK_PREV)
-    assert normalize(pc.runs_at(2), 16, image)[0].tolist() == BACK_CUR.tolist()
+    image, _ = flat_fore_image(pc, 1, BACK_PREV)
+    assert normalized_pieces(pc.runs_at(2), 16, image)[0].tolist() == BACK_CUR.tolist()
 
 
 def test_back_quadruples_and_step():
@@ -74,7 +74,7 @@ def test_panel_b_fore_subruns():
     pc = build_pbwt(PANEL_B)
     assert pc.runs_at(1).tolist() == [1, 6, 7]
     assert pc.runs_at(2).tolist() == REF_LAYOUT
-    image, live = fore_image(pc, 1, pc.runs_at(1))
+    image, live = flat_fore_image(pc, 1, pc.runs_at(1))
     assert image.tolist() == [1, 2, 12] and live.tolist() == [6, 7, 1]
     lists = build_fore_subruns(pc)
     assert lists[1].tolist() == REF_LAYOUT
@@ -85,8 +85,8 @@ def test_back_map_example():
     # the run image of column 1, normalized against the reference layout,
     # pulls back by the per-run shift onto FORE_CUR
     pc = build_pbwt(PANEL_B)
-    image, live = fore_image(pc, 1, pc.runs_at(1))
-    pieces, src = normalize(image, 16, np.array(REF_LAYOUT))
+    image, live = flat_fore_image(pc, 1, pc.runs_at(1))
+    pieces, src = normalized_pieces(image, 16, np.array(REF_LAYOUT))
     assert pieces.tolist() == [1, 2, 6, 11, 12]
     back = live[src] + pieces - image[src]
     assert np.array_equal(back, pos_lookup_back(PANEL_B)[1][pieces - 1])

@@ -31,9 +31,19 @@ def test_parse_token_format():
     assert p.sigma == 4
 
 
-def test_parse_header_sigma():
+def test_parse_header_sigma(tmp_path, capsys):
     p, _ = parse_panel(b"#h=2 w=2 sigma=5\n01\n10\n")
     assert p.sigma == 5
+    # an alphabet of 2^62 or more is refused as the panel is read
+    path = tmp_path / "panel.txt"
+    for sigma in (2**62, 2**64, 10**23):
+        with pytest.raises(PanelError, match=f"alphabet size {sigma} >= 2\\^62"):
+            parse_panel(b"#sigma=%d\n0101\n" % sigma)
+        path.write_bytes(b"#sigma=%d\n0101\n" % sigma)
+        for flags in ([], ["--ragged"]):
+            assert main(["build", str(path), "-o", str(tmp_path / "ix.bin")] + flags) == 3
+            assert f"alphabet size {sigma} >= 2^62" in capsys.readouterr().err
+    assert parse_panel(b"#sigma=%d\n0101\n" % (2**62 - 1))[0].sigma == 2**62 - 1
 
 
 def test_parse_malformed_line(tmp_path, capsys):
@@ -366,10 +376,13 @@ def test_wide_elements_do_not_wrap(tmp_path, capsys):
 
 
 def test_corrupt_panel_bytes_exit_cleanly(tmp_path, capsys):
-    # every byte of a small digit and token panel replaced or lengthened:
-    # build and stats accept the file (exit 0) or refuse it (exit 3)
+    # every byte of a small digit and token panel, and of two headers past
+    # 2^62, replaced or lengthened: build and stats accept the file (exit 0)
+    # or refuse it (exit 3)
     panels = [b"#sigma=3\n0110\n1021\n0001\n",
-              b"3 0 1\n9223372036854775806 2\n1 2 0\n"]
+              b"3 0 1\n9223372036854775806 2\n1 2 0\n",
+              b"#sigma=99999999999999999999999\n0101\n",
+              b"#sigma=18446744073709551616\n0101\n"]
     values = [b"0", b"9", b" ", b"\n", b"#", b"-", b"=", b"x", b"\xff"]
     path = tmp_path / "panel.txt"
     for k, clean in enumerate(panels):

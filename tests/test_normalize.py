@@ -2,24 +2,28 @@ import numpy as np
 
 from pbwtstep.subruns import normalize
 
-from conftest import brute_normalize, brute_overlaps, rand_partition, starts_of
+from conftest import (brute_normalize, brute_overlaps, normalized_pieces, rand_partition,
+                      starts_of)
 
 PARTS = np.array([1, 2, 12])
 REF = np.array([1, 3, 4, 6, 8, 10, 11, 14, 15])
 
 
 def test_worked_example():
-    pieces, src = normalize(PARTS, 16, REF)
+    pieces, src = normalized_pieces(PARTS, 16, REF)
     assert pieces.tolist() == [1, 2, 6, 11, 12]
     assert src.tolist() == [0, 1, 1, 1, 2]
+    # the parts' first and last positions, interleaved: only [2, 11] is cut
+    k, cuts = normalize(np.array([1, 1, 2, 11, 12, 16]), REF)
+    assert k.tolist() == [0, 2, 0] and cuts.tolist() == [6, 11]
 
 
 def test_small_ref_is_copy():
     one = np.array([1])
-    pieces, src = normalize(one, 9, one)
+    pieces, src = normalized_pieces(one, 9, one)
     assert pieces.tolist() == [1] and src.tolist() == [0]
     parts = np.array([1, 5])
-    pieces, src = normalize(parts, 9, np.array([1, 2, 3]))
+    pieces, src = normalized_pieces(parts, 9, np.array([1, 2, 3]))
     assert pieces.tolist() == [1, 5] and src.tolist() == [0, 1]
 
 
@@ -27,7 +31,7 @@ def test_matches_brute_force(rng):
     for _ in range(400):
         n = int(rng.integers(1, 51))
         parts, ref = rand_partition(rng, n), rand_partition(rng, n)
-        pieces, _ = normalize(starts_of(parts), n, starts_of(ref))
+        pieces, _ = normalized_pieces(starts_of(parts), n, starts_of(ref))
         assert pieces.tolist() == starts_of(brute_normalize(parts, ref)).tolist()
 
 
@@ -35,7 +39,7 @@ def test_properties(rng):
     for _ in range(300):
         n = int(rng.integers(1, 120))
         parts, ref = rand_partition(rng, n), rand_partition(rng, n)
-        pieces, src = normalize(starts_of(parts), n, starts_of(ref))
+        pieces, src = normalized_pieces(starts_of(parts), n, starts_of(ref))
         # a partition of [1..n]
         assert pieces[0] == 1 and (np.diff(pieces) > 0).all() and pieces[-1] <= n
         ends = np.append(pieces[1:] - 1, n).tolist()

@@ -4,7 +4,7 @@ import pytest
 from pbwtstep.io import build_index, parse_panel
 from pbwtstep.panel import Panel
 from pbwtstep.pbwt import build_pbwt, column_orders, extract_runs
-from pbwtstep.subruns import fore_image
+from pbwtstep.subruns import run_shifts
 
 from conftest import (build_pbwt_reference, pos_lookup_back, pos_lookup_fore, prefix_arrays,
                       rand_panel)
@@ -142,11 +142,11 @@ def test_fore_tables_match_naive(rng):
         for _ in range(30):
             p = rand_panel(rng, ragged=ragged)
             pc = build_pbwt(p)
+            first, starts, _, live, delta, _, _ = run_shifts(pc)
+            targets = np.where(live, starts + delta, 0)
             for j, table in enumerate(pos_lookup_fore(p), 1):
                 runs = pc.runs_at(j)
-                image, live = fore_image(pc, j, runs)
-                targets = dict(zip(live.tolist(), image.tolist()))
-                got = [targets.get(s, 0) for s in runs.tolist()]
+                got = targets[first[j - 1]:first[j]].tolist()
                 assert got == table[runs - 1].tolist()
 
 
@@ -165,9 +165,10 @@ def test_row_id_dtype_boundary(rng, h):
     pc = _check_against_reference_and_extract(p)
     assert pc.run_rows[0].dtype.itemsize == (1 if h == 255 else 2)
     assert prefix_arrays(p)[0].dtype.itemsize == (1 if h == 255 else 2)
+    first, starts, _, live, delta, _, _ = run_shifts(pc)
     for j, table in enumerate(pos_lookup_fore(p), 1):
-        image, live = fore_image(pc, j, pc.runs_at(j))
-        assert np.array_equal(image, table[live - 1])
+        at = slice(first[j - 1], first[j])
+        assert np.array_equal((starts + delta)[at][live[at]], table[starts[at][live[at]] - 1])
 
 
 @pytest.mark.parametrize("sigma,ragged", [(255, True), (256, True), (256, False), (257, False)])
