@@ -22,7 +22,7 @@ from __future__ import annotations
 import os
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -30,7 +30,6 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .panel import Panel, PanelError
 from .pbwt import build_pbwt
 from .prefixsearch import PrefixSearchIndex, assemble_prefix_index, sort_panel
-from .retrieval import RetrievalIndex
 from .stepindex import StepIndex, assemble_step_index, build_step_index, narrow, table_dtype
 from .subruns import build_back_subruns, build_fore_subruns
 
@@ -164,10 +163,11 @@ class IndexFile:
     step: StepIndex
     prefix: PrefixSearchIndex
     panel_format: str              # "digits" or "tokens"
-    retrieval: RetrievalIndex = field(init=False)
 
-    def __post_init__(self):
-        self.retrieval = RetrievalIndex(self.step)
+    @property
+    def retrieval(self) -> StepIndex:
+        """The step index, whose ``extract`` retrieves rows."""
+        return self.step
 
     @property
     def sorted_rows(self) -> bool:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .panel import Panel
 from .pbwt import internal_matrix
-from .stepindex import StepIndex
+from .stepindex import StepIndex, run_starts
 
 
 class _ColumnRankSelect:
@@ -64,15 +64,7 @@ class PrefixSearchIndex:
 
     @cached_property
     def rank_select(self) -> list[_ColumnRankSelect]:
-        return [_ColumnRankSelect(self.step, j) for j in range(1, self.w + 1)]
-
-    @property
-    def h(self) -> int:
-        return self.step.h
-
-    @property
-    def w(self) -> int:
-        return self.step.w
+        return [_ColumnRankSelect(self.step, j) for j in range(1, self.step.w + 1)]
 
     @property
     def sorted_rows(self) -> bool:
@@ -134,19 +126,12 @@ class PrefixSearchIndex:
                 while end[gp] <= e:
                     gp += 1
         if j == 0:
-            return 0, self.h, 1
+            return 0, st.h, 1
         if j == m_eff:
             # b and e hold c in the pattern's last column, and the c rows between
             # them step to consecutive rows
             return j, e + delta[gp] - b - delta[g] + 1, witness
         return j, e - b + 1, witness
-
-    def prefix_search_sorted(self, pattern) -> tuple[int, tuple[int, int]]:
-        """Longest shared prefix length and the sorted-row interval carrying it."""
-        if not self.sorted_rows:
-            raise ValueError("index was not built over sorted rows")
-        m_prime, occ, witness = self.partial_prefix_search(pattern)
-        return m_prime, (witness, witness + occ - 1)
 
     def row_ids(self, witness: int, occ: int) -> list[int]:
         """Original ids of the ``occ`` sorted rows from position ``witness`` on."""
@@ -177,9 +162,8 @@ def assemble_prefix_index(pc, step: StepIndex,
     file row ids; a sorted index (``orig_ids``: file ids in sorted order)
     numbers rows by sorted position, so it maps them through the inverse
     permutation, the argsort of ``orig_ids``."""
-    fv, dt = step.fore_vals, step.fore_starts.dtype
-    run_start = np.append(True, fv[1:] != fv[:-1])
-    run_start[step.fore_first[:-1]] = True
+    dt = step.fore_starts.dtype
+    run_start = run_starts(step.fore_vals, step.fore_first)
     at_run = np.flatnonzero(run_start)
     ptr = step.fore_lam.copy()
     ptr[at_run] = at_run

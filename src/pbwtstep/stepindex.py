@@ -24,7 +24,8 @@ positions need; the two overlap counts are int8. The assembly raises
 ValueError unless the arrays describe a valid index that meets the paper's
 bounds (fewer than ``2*total_runs`` sub-runs per side, at most three overlaps
 per image), so no step can fail on a file that loaded. Queries take and
-return 1-based (row, sub-run) pairs, so steps chain.
+return 1-based (row, sub-run) pairs, so steps chain. ``extract`` retrieves a
+whole row from the fore tables alone, one forward step per column.
 """
 
 from __future__ import annotations
@@ -140,6 +141,32 @@ class StepIndex:
     def symbol_at_fore(self, j: int, x: int) -> int:
         return self.mv.fore_vals[self.mv.fore_first[j - 1] + x - 1]
 
+    def extract(self, i: int) -> list[int]:
+        """Reconstruct row i from the forward-stepping tables alone. Column 1
+        of the prefix array is the identity, so a predecessor search over
+        column 1's sub-run starts locates row i's first sub-run; then one
+        symbol read and one forward step per column reproduce the row. In
+        ragged mode the output stops before the terminator, so ragged rows
+        come back at their true lengths."""
+        if not 1 <= i <= self.h:
+            raise ValueError(f"row {i} out of range [1..{self.h}]")
+        m, shift = self.mv, int(self.ragged)
+        sym, delta, lam, end = m.fore_vals, m.fore_delta, m.fore_lam, m.fore_ends
+        g, out = self.find_fore_subrun(1, i) - 1, []
+        for _ in range(self.w - 1):
+            c = sym[g]
+            if c < shift:
+                return out
+            out.append(c - shift)
+            i += delta[g]
+            g = lam[g]
+            while end[g] <= i:
+                g += 1
+        c = sym[g]
+        if c >= shift:
+            out.append(c - shift)
+        return out
+
     def stored_words(self) -> int:
         """Integers the index file stores for stepping."""
         back = 0 if self.back_starts is None else self.back_starts.size
@@ -187,6 +214,14 @@ def split_columns(starts: np.ndarray, col_lens: np.ndarray, side: str):
     if (ends <= starts).any():
         raise ValueError(f"{side} sub-run starts not increasing inside their column")
     return col, first, ends
+
+
+def run_starts(fore_vals, fore_first) -> np.ndarray:
+    """Which flat fore sub-runs start a run: a column's first sub-run, and
+    every sub-run whose symbol differs from the one before it."""
+    run_start = np.append(True, fore_vals[1:] != fore_vals[:-1])
+    run_start[fore_first[:-1]] = True
+    return run_start
 
 
 def fore_shift(starts, lens, sym, col, first, lo: int):
@@ -255,8 +290,7 @@ def assemble_step_index(h: int, w: int, sigma: int, ragged: bool,
     del scol, ssym
     by_symbol, sym_offsets = order.astype(dt), np.append(offsets, fs.size).astype(dt)
     del order, offsets
-    run_start = np.append(True, fv[1:] != fv[:-1])
-    run_start[ffirst[:-1]] = True
+    run_start = run_starts(fv, ffirst)
     total_runs = int(run_start.sum())
     if fs.size >= 2 * total_runs:
         raise ValueError(f"{fs.size} fore sub-runs, not fewer than 2*total_runs")

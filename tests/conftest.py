@@ -89,8 +89,15 @@ def prefix_index(p: Panel, sorted_rows=False):
 
 
 def retrieval_index(p: Panel):
-    """The retrieval part of a forward-only index."""
+    """The retrieval part of a forward-only index: its step index."""
     return build_index(p, fore_only=True).retrieval
+
+
+def sorted_interval(ix, pattern):
+    """Longest shared prefix length and the sorted-row interval carrying it,
+    from the witness and count of ``ix.partial_prefix_search``."""
+    m_prime, occ, witness = ix.partial_prefix_search(pattern)
+    return m_prime, (witness, witness + occ - 1)
 
 
 # ------------------------------------------------------------------- oracles

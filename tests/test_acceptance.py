@@ -18,7 +18,7 @@ from pbwtstep.subruns import build_back_subruns, build_fore_subruns
 
 from conftest import (build_pbwt_reference, in_subrun, normalized_pieces, pattern_battery,
                       pos_lookup_back, pos_lookup_fore, prefix_index, rand_panel, rand_partition,
-                      retrieval_index, scan_prefix, starts_of)
+                      retrieval_index, scan_prefix, sorted_interval, starts_of)
 import test_golden_fixtures as golden
 
 
@@ -153,7 +153,7 @@ def test_c07_sorted_variant_and_enumeration(corpus):
         rows = [tuple(int(s) for s in r) for r in p.rows]
         for pat in pattern_battery(rng, p, count=4):
             m, occ, _ = scan_prefix(p, pat)
-            m2, (lo, hi) = ix.prefix_search_sorted(pat)
+            m2, (lo, hi) = sorted_interval(ix, pat)
             assert (m2, hi - lo + 1) == (m, occ)
             m3, ids = ix.enumerate_prefixed(pat)
             want = [i for i in range(1, p.h + 1) if rows[i - 1][:m] == tuple(pat[:m])] \
@@ -166,8 +166,7 @@ def test_c08_retrieval(corpus):
     from test_retrieval import _CountingStep
     for p, pc, _, st in corpus:
         ret = retrieval_index(p)
-        counter = _CountingStep(ret.step)
-        ret.step = counter
+        counter = _CountingStep(ret)
         for i in range(1, p.h + 1):
             counter.fore_calls = 0
             assert ret.extract(i) == [int(s) for s in p.rows[i - 1]]

@@ -375,6 +375,89 @@ def test_wide_elements_do_not_wrap(tmp_path, capsys):
         capsys.readouterr()
 
 
+def _rewritten(blob, edit):
+    """A saved index whose dims (h, w, sigma) and arrays, as int64, ``edit``
+    changes in place; it returns how many payload bytes to cut from the end.
+    The arrays are stored 8 bytes wide, header length and checksum recomputed."""
+    head = len(MAGIC) + 20
+    dims = list(struct.unpack_from("<QQQ", blob, head))
+    arrays = [np.frombuffer(bytes(blob), f"<u{size}", n, first).astype(np.int64)
+              for first, size, n in _array_elements(blob)]
+    cut = edit(dims, arrays) or 0
+    payload = struct.pack("<QQQ", *dims) + b"".join(
+        struct.pack("<BQ", 8, a.size) + a.astype("<u8").tobytes() for a in arrays)
+    payload = payload[:len(payload) - cut]
+    return blob[:len(MAGIC) + 8] + struct.pack("<IQ", zlib.crc32(payload), len(payload)) \
+        + payload
+
+
+def _set(k, at, value):
+    def edit(dims, arrays):
+        arrays[k][at] = value
+    return edit
+
+
+def _set_dim(k, value):
+    def edit(dims, arrays):
+        dims[k] = value
+    return edit
+
+
+def _second_column_start(dims, arrays):
+    arrays[1][np.flatnonzero(arrays[1] == 1)[1]] = 2
+
+
+def _repeated_id(dims, arrays):
+    arrays[5][0] = arrays[5][1]
+
+
+# arrays of a sorted two-sided index: col_lens, fore starts, fore symbols,
+# back starts, prefix samples, ids
+REFUSALS = {
+    "h=0": (_set_dim(0, 0), "dimensions out of range"),
+    "sigma=2^62": (_set_dim(2, 2**62), "dimensions out of range"),
+    "h+1": (_set_dim(0, 5), "array sizes do not match the dimensions"),
+    "sigma=1": (_set_dim(2, 1), "fore sub-run symbol outside the alphabet"),
+    "column start": (_second_column_start, "fore sub-run starts do not split into 4 columns"),
+    "truncated": (lambda dims, arrays: 1, "payload ended early"),
+    "sample 0": (_set(4, 0, 0), "prefix-array samples do not fit"),
+    "sample h+1": (_set(4, 1, 5), "prefix-array samples do not fit"),
+    "repeated id": (_repeated_id, "stored row ids are not a permutation"),
+}
+
+
+@pytest.mark.parametrize("case", REFUSALS)
+def test_decode_refusals(tmp_path, case):
+    # a CRC-valid file that breaks only one of the decoder's checks
+    edit, message = REFUSALS[case]
+    path = tmp_path / "ix.bin"
+    save_index(str(path), build_index(Panel.from_strings(["0110", "1011", "0001", "1100"]),
+                                      sorted_rows=True))
+    clean = path.read_bytes()
+    path.write_bytes(_rewritten(clean, lambda dims, arrays: None))
+    assert load_index(str(path)).retrieval.extract(2) == [0, 1, 1, 0]   # sorted row 2
+    path.write_bytes(_rewritten(clean, edit))
+    with pytest.raises(IndexFormatError, match=message):
+        load_index(str(path))
+
+
+def test_decode_refusal_exits_2_under_optimize(tmp_path):
+    # the refusals are not asserts, so -O keeps them
+    import pbwtstep
+
+    path = tmp_path / "ix.bin"
+    save_index(str(path), build_index(Panel.from_strings(["0110", "1011", "0001", "1100"]),
+                                      sorted_rows=True))
+    path.write_bytes(_rewritten(path.read_bytes(), _repeated_id))
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(pbwtstep.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-O", "-m", "pbwtstep.cli", "extract", str(path), "1"],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    assert "not a permutation" in proc.stderr
+
+
 def test_corrupt_panel_bytes_exit_cleanly(tmp_path, capsys):
     # every byte of a small digit and token panel, and of two headers past
     # 2^62, replaced or lengthened: build and stats accept the file (exit 0)
@@ -611,12 +694,12 @@ def test_selftest_fails_under_optimize():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p))
     code = """
-from pbwtstep.retrieval import RetrievalIndex
 from pbwtstep.selftest import run_selftest
+from pbwtstep.stepindex import StepIndex
 if __debug__:
     raise SystemExit("not running under -O")
 print(run_selftest(panels=3)[0])
-RetrievalIndex.extract = lambda self, i: [-1]
+StepIndex.extract = lambda self, i: [-1]
 ok, summary = run_selftest(panels=10)
 print(ok)
 print(summary)
@@ -647,15 +730,15 @@ def test_selftest_catches_an_off_by_one_step(monkeypatch, name):
 
 
 def test_selftest_failure_counts_passed_checks(monkeypatch):
-    from pbwtstep.retrieval import RetrievalIndex
     from pbwtstep.selftest import run_selftest
+    from pbwtstep.stepindex import StepIndex
 
-    monkeypatch.setattr(RetrievalIndex, "extract", lambda self, i: [-1])
+    monkeypatch.setattr(StepIndex, "extract", lambda self, i: [-1])
     ok, summary = run_selftest(panels=3)
     assert not ok and "extract mismatch" in summary
     m = re.search(r"FAILED after (\d+) checks", summary)
     assert m and int(m.group(1)) > 0
     # a query path that raises is a failure too, not an escaped exception
-    monkeypatch.setattr(RetrievalIndex, "extract", lambda self, i: self.step.fore_step(0, 1, 1))
+    monkeypatch.setattr(StepIndex, "extract", lambda self, i: self.fore_step(0, 1, 1))
     ok, summary = run_selftest(panels=3)
     assert not ok and "FAILED after" in summary

@@ -10,7 +10,7 @@ from pbwtstep.prefixsearch import PrefixSearchIndex, sort_panel
 from pbwtstep.stepindex import assemble_step_index
 
 from conftest import (build_pbwt_reference, pattern_battery, prefix_arrays, prefix_index,
-                      rand_panel, scan_prefix)
+                      rand_panel, scan_prefix, sorted_interval)
 
 SMALL = Panel.from_strings(["01", "10", "00"])
 
@@ -36,9 +36,9 @@ def test_single_row_panel():
 
 def test_sorted_variant_examples():
     ix = prefix_index(Panel.from_strings(["00", "01", "10"]), sorted_rows=True)
-    assert ix.prefix_search_sorted([0]) == (1, (1, 2))
-    assert ix.prefix_search_sorted([]) == (0, (1, 3))
-    assert ix.prefix_search_sorted([0, 1]) == (2, (2, 2))
+    assert sorted_interval(ix, [0]) == (1, (1, 2))
+    assert sorted_interval(ix, []) == (0, (1, 3))
+    assert sorted_interval(ix, [0, 1]) == (2, (2, 2))
 
 
 def test_enumeration_examples():
@@ -53,7 +53,7 @@ def test_enumeration_examples():
 def test_unsorted_index_refuses_interval_queries():
     ix = prefix_index(SMALL)
     with pytest.raises(ValueError):
-        ix.prefix_search_sorted([0])
+        ix.row_ids(1, 1)
     with pytest.raises(ValueError):
         ix.enumerate_prefixed([0])
 
@@ -179,7 +179,7 @@ def test_sorted_and_enumeration_match_oracle(rng):
             rows = [tuple(int(s) for s in r) for r in p.rows]
             for pat in pattern_battery(rng, p, count=5):
                 m, occ, _ = scan_prefix(p, pat)
-                m2, (lo, hi) = ix.prefix_search_sorted(pat)
+                m2, (lo, hi) = sorted_interval(ix, pat)
                 assert (m2, hi - lo + 1) == (m, occ)
                 m3, ids = ix.enumerate_prefixed(pat)
                 want = [i for i in range(1, p.h + 1)

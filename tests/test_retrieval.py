@@ -30,20 +30,17 @@ def test_full_panel_round_trip(rng):
 
 
 class _CountingStep:
-    """A step index whose flat step and symbol tables count their reads:
-    ``fore_calls`` reads of ``fore_delta``, one per forward step, and
-    ``symbol_calls`` reads of ``fore_vals``, one per symbol access."""
+    """Counts the reads that ``step``'s queries make through ``step.mv`` of
+    its flat step and symbol tables: ``fore_calls`` reads of ``fore_delta``,
+    one per forward step, and ``symbol_calls`` reads of ``fore_vals``, one
+    per symbol access."""
 
-    def __init__(self, inner):
-        self.inner = inner
+    def __init__(self, step):
         self.fore_calls = 0
         self.symbol_calls = 0
-        self.mv = SimpleNamespace(**vars(inner.mv))
-        self.mv.fore_delta = _CountedReads(inner.mv.fore_delta, self, "fore_calls")
-        self.mv.fore_vals = _CountedReads(inner.mv.fore_vals, self, "symbol_calls")
-
-    def __getattr__(self, name):
-        return getattr(self.inner, name)
+        step.mv = SimpleNamespace(**vars(step.mv))
+        step.mv.fore_delta = _CountedReads(step.mv.fore_delta, self, "fore_calls")
+        step.mv.fore_vals = _CountedReads(step.mv.fore_vals, self, "symbol_calls")
 
 
 class _CountedReads:
@@ -59,8 +56,7 @@ def test_extract_work_is_one_pass(rng):
     for _ in range(20):
         p = rand_panel(rng)
         ret = retrieval_index(p)
-        counter = _CountingStep(ret.step)
-        ret.step = counter
+        counter = _CountingStep(ret)
         for i in range(1, p.h + 1):
             counter.fore_calls = counter.symbol_calls = 0
             ret.extract(i)
@@ -73,7 +69,7 @@ def test_start_list_is_small(rng):
         p = rand_panel(rng)
         pc = build_pbwt(p)
         ret = retrieval_index(p)
-        starts = ret.step.fore_cols[0].starts
+        starts = ret.fore_cols[0].starts
         assert starts.size <= 2 * pc.total_runs
         assert int(starts[0]) == 1
         assert np.all(np.diff(starts) > 0)

@@ -5,7 +5,6 @@ from pbwtstep.io import build_index, load_index, save_index
 from pbwtstep.panel import Panel
 from pbwtstep.pbwt import build_pbwt
 from pbwtstep.prefixsearch import PrefixSearchIndex
-from pbwtstep.retrieval import RetrievalIndex
 from pbwtstep.stepindex import assemble_step_index, build_step_index
 from pbwtstep.subruns import build_back_subruns, build_fore_subruns
 
@@ -154,6 +153,26 @@ def test_debug_precondition_checked(rng):
             st.fore_step(end + 1, 1, x)
 
 
+@pytest.mark.parametrize("h, w, col_lens, fore_starts, fore_vals, back_starts, message", [
+    # one run split into two sub-runs: not fewer than 2*total_runs
+    (2, 1, [2], [1, 2], [0, 0], None, "2 fore sub-runs, not fewer than 2"),
+    (2, 1, [2], [1], [0], [1, 2], "2 back sub-runs, not fewer than 2"),
+    # column 1's one run steps onto column 2's four runs
+    (4, 2, [4, 4], [1, 1, 2, 3, 4], [0, 0, 1, 0, 1], None, "image overlaps more than 3"),
+    # column 1's four back sub-runs step onto column 2's one back sub-run
+    (4, 2, [4, 4], [1, 2, 3, 4, 1], [0, 1, 0, 1, 0], [1, 2, 3, 4, 1],
+     "back sub-run overlaps more than 3 pieces"),
+    (2, 1, [2], [1, 2], [0, 1], [1], "run boundary is not a back sub-run start"),
+], ids=["fore bound", "back bound", "fore overlaps", "back overlaps", "run boundary"])
+def test_assembly_refuses_broken_bounds(h, w, col_lens, fore_starts, fore_vals, back_starts,
+                                        message):
+    # each case breaks only the named invariant of the paper
+    back = None if back_starts is None else np.array(back_starts)
+    with pytest.raises(ValueError, match=message):
+        assemble_step_index(h, w, 2, False, np.array(col_lens), np.array(fore_starts),
+                            np.array(fore_vals), back)
+
+
 def test_ragged_back_total_fore_partial(rng):
     for _ in range(25):
         p = rand_panel(rng, ragged=True)
@@ -201,8 +220,7 @@ def test_rows_past_int32_get_int64_tables():
     dtypes = {k: v.dtype for k, v in vars(st).items() if isinstance(v, np.ndarray)}
     assert dtypes.pop("fore_nq") == dtypes.pop("back_nq") == np.int8
     assert set(dtypes.values()) == {np.dtype(np.int64)}, dtypes
-    rt = RetrievalIndex(st)
-    assert rt.extract(1) == rt.extract(h) == [0, 1]
+    assert st.extract(1) == st.extract(h) == [0, 1]
     assert st.fore_step(h, 1, 1) == (h, 1) and st.fore_step(1, 1, 1) == (1, 1)
     assert st.back_step(h, 2, 1) == (h, 1) and st.back_step(1, 2, 1) == (1, 1)
     assert pr.partial_prefix_search([0, 1]) == (2, h, 1)
