@@ -441,19 +441,23 @@ def test_decode_refusals(tmp_path, case):
         load_index(str(path))
 
 
-def test_decode_refusal_exits_2_under_optimize(tmp_path):
-    # the refusals are not asserts, so -O keeps them
+def _package_env():
+    """The environment of a child interpreter that imports this pbwtstep."""
     import pbwtstep
 
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(pbwtstep.__file__)))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p))
+
+
+def test_decode_refusal_exits_2_under_optimize(tmp_path):
+    # the refusals are not asserts, so -O keeps them
     path = tmp_path / "ix.bin"
     save_index(str(path), build_index(Panel.from_strings(["0110", "1011", "0001", "1100"]),
                                       sorted_rows=True))
     path.write_bytes(_rewritten(path.read_bytes(), _repeated_id))
-    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(pbwtstep.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run([sys.executable, "-O", "-m", "pbwtstep.cli", "extract", str(path), "1"],
-                          env=env, capture_output=True, text=True, timeout=120)
+                          env=_package_env(), capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2, proc.stderr
     assert "not a permutation" in proc.stderr
 
@@ -688,11 +692,6 @@ def test_cli_selftest(capsys):
 
 def test_selftest_fails_under_optimize():
     # -O strips assert statements; the selftest's checks must still run
-    import pbwtstep
-
-    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(pbwtstep.__file__)))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (pkg_root, os.environ.get("PYTHONPATH")) if p))
     code = """
 from pbwtstep.selftest import run_selftest
 from pbwtstep.stepindex import StepIndex
@@ -704,7 +703,7 @@ ok, summary = run_selftest(panels=10)
 print(ok)
 print(summary)
 """
-    proc = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+    proc = subprocess.run([sys.executable, "-O", "-c", code], env=_package_env(),
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
