@@ -21,23 +21,18 @@ from .pbwt import column_orders, extract_runs, internal_matrix
 from .prefixsearch import sort_panel
 
 
-def _differs(mat: np.ndarray) -> np.ndarray:
-    """Per row after the first, whether it differs from the row before it."""
-    return (mat[1:] != mat[:-1]).any(axis=1)
-
-
-def adjacent_distinct_pairs(p: Panel) -> int:
-    """Count of i < h with row i differing from row i+1, in the given order."""
-    return int(np.count_nonzero(_differs(internal_matrix(p))))
-
-
 def _row_classes(p: Panel) -> np.ndarray:
     """Per row (0-based), the rank of its value among the distinct rows: a
     cumsum of adjacent differences in lexicographic order."""
     order = sort_panel(p) - 1
     cls = np.zeros(p.h, np.int64)
-    cls[order[1:]] = np.cumsum(_differs(internal_matrix(p)[order]))
+    cls[order[1:]] = np.cumsum(np.diff(internal_matrix(p)[order], axis=0).any(axis=1))
     return cls
+
+
+def adjacent_distinct_pairs(p: Panel) -> int:
+    """Count of i < h with row i differing from row i+1, in the given order."""
+    return int(np.count_nonzero(np.diff(_row_classes(p))))
 
 
 @dataclass
@@ -78,8 +73,8 @@ def check_bounds(p: Panel) -> BoundsReport:
     """
     if p.ragged:
         raise ValueError("bounds are defined for fixed-length panels")
-    h_pp = adjacent_distinct_pairs(p)
     cls = _row_classes(p)
+    h_pp = int(np.count_nonzero(np.diff(cls)))     # equal rows share a class
     h_pp_sorted = int(cls.max())    # adjacent distinct pairs after lexicographic sorting
     distinct = h_pp_sorted + 1      # sorted rows put equal rows next to each other
     r_per_col, ell_per_col = [], []

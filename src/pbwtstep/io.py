@@ -171,7 +171,7 @@ class IndexFile:
 
     @property
     def sorted_rows(self) -> bool:
-        return self.prefix.sorted_rows
+        return self.prefix.orig_ids is not None
 
     @property
     def fore_only(self) -> bool:

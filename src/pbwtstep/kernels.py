@@ -1,3 +1,3 @@
-"""The kernel backend the build runs on: whole-column numpy operations."""
+"""The backend name that perfbench reports print; no package module imports this one."""
 
 BACKEND = "numpy"  # named in benchmark reports

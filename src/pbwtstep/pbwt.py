@@ -41,12 +41,6 @@ class PbwtColumns:
     run_rows: list[np.ndarray]      # per column: the 1-based row id at each run start
     total_runs: int
 
-    def col_len(self, j: int) -> int:
-        return len(self.cols[j - 1])
-
-    def runs_at(self, j: int) -> np.ndarray:
-        return self.runs[j - 1]
-
 
 def extract_runs(symbols) -> np.ndarray:
     """1-based starts of the maximal equal-symbol blocks of a column."""

@@ -67,10 +67,6 @@ class PrefixSearchIndex:
         return [_ColumnRankSelect(self.step, j) for j in range(1, self.step.w + 1)]
 
     @property
-    def sorted_rows(self) -> bool:
-        return self.orig_ids is not None
-
-    @property
     def sigma_public(self) -> int:
         """Alphabet size of the panel, without the ragged-mode terminator."""
         return self.step.sigma - self.step.ragged
@@ -137,13 +133,9 @@ class PrefixSearchIndex:
         """Original ids of the ``occ`` sorted rows from position ``witness`` on."""
         if self.orig_ids is None:
             raise ValueError("index was not built with the id permutation")
+        if not 1 <= witness < witness + occ <= self.orig_ids.size + 1:
+            raise ValueError(f"rows {witness}..{witness + occ - 1} out of range")
         return self.orig_ids[witness - 1:witness + occ - 1].tolist()
-
-    def enumerate_prefixed(self, pattern) -> tuple[int, list[int]]:
-        """Longest shared prefix length and the original ids of all rows
-        carrying it, in sorted-position order."""
-        m_prime, occ, witness = self.partial_prefix_search(pattern)
-        return m_prime, self.row_ids(witness, occ)
 
 
 def assemble_prefix_index(pc, step: StepIndex,

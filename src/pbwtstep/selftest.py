@@ -153,7 +153,7 @@ def _check_panel(rng: np.random.Generator, p: Panel, do_io: bool):
         _check(got == want, f"prefix mismatch: {got} != {want} for {pat}")
         carry = [k for k, r in enumerate(order) if rows[r][:m] == pat[:m]]
         _check(ixs.partial_prefix_search(pat) == (m, occ, carry[0] + 1), "sorted prefix mismatch")
-        _check(ixs.enumerate_prefixed(pat) == (m, [order[k] + 1 for k in carry]),
+        _check(ixs.row_ids(carry[0] + 1, occ) == [order[k] + 1 for k in carry],
                "enumeration mismatch")
         yield 3
     for i in range(1, p.h + 1):

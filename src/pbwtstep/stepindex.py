@@ -65,8 +65,7 @@ class StepIndex:
     back_vals: np.ndarray | None = None
     back_nq: np.ndarray | None = None       # pieces each sub-run overlaps; 0 in column 1
     first_piece: np.ndarray | None = None   # flat index of the first of them
-    piece_starts: np.ndarray | None = None  # every column's pieces in turn, ascending
-    piece_ends: np.ndarray | None = None
+    piece_ends: np.ndarray | None = None    # one past each piece's last row, column by column
     piece_shift: np.ndarray | None = None   # source row minus piece row
     piece_src: np.ndarray | None = None     # flat back sub-run each piece is the image of
 
@@ -93,13 +92,23 @@ class StepIndex:
 
     # -- locate helpers (queries proper take the sub-run index as input) ----
 
+    def _span(self, side: str, j: int, k: int, rows: bool) -> tuple[int, int]:
+        """Column j's flat ``side`` sub-runs a..b-1, after checking row or sub-run k."""
+        first = getattr(self.mv, side + "_first", None)
+        if first is None or not 1 <= j <= self.w:
+            raise ValueError(f"no {side} sub-runs in column {j}")
+        a, b = first[j - 1], first[j]
+        if not 1 <= k <= (self.mv.col_lens[j - 1] if rows else b - a):
+            raise ValueError(f"{'row' if rows else 'sub-run'} {k} out of range in column {j}")
+        return a, b
+
     def find_back_subrun(self, j: int, i: int) -> int:
-        a = self.mv.back_first[j - 1]
-        return bisect_right(self.mv.back_starts, i, a, self.mv.back_first[j]) - a
+        a, b = self._span("back", j, i, True)
+        return bisect_right(self.mv.back_starts, i, a, b) - a
 
     def find_fore_subrun(self, j: int, i: int) -> int:
-        a = self.mv.fore_first[j - 1]
-        return bisect_right(self.mv.fore_starts, i, a, self.mv.fore_first[j]) - a
+        a, b = self._span("fore", j, i, True)
+        return bisect_right(self.mv.fore_starts, i, a, b) - a
 
     def symbol_run(self, j: int, c: int) -> tuple[int, int]:
         """The slice of ``by_symbol`` that lists column j's sub-runs of symbol c."""
@@ -136,10 +145,12 @@ class StepIndex:
         return t, g - m.fore_first[j] + 1
 
     def symbol_at_back(self, j: int, x: int) -> int:
-        return self.mv.back_vals[self.mv.back_first[j - 1] + x - 1]
+        a, _ = self._span("back", j, x, False)
+        return self.mv.back_vals[a + x - 1]
 
     def symbol_at_fore(self, j: int, x: int) -> int:
-        return self.mv.fore_vals[self.mv.fore_first[j - 1] + x - 1]
+        a, _ = self._span("fore", j, x, False)
+        return self.mv.fore_vals[a + x - 1]
 
     def extract(self, i: int) -> list[int]:
         """Reconstruct row i from the forward-stepping tables alone. Column 1
@@ -148,8 +159,6 @@ class StepIndex:
         symbol read and one forward step per column reproduce the row. In
         ragged mode the output stops before the terminator, so ragged rows
         come back at their true lengths."""
-        if not 1 <= i <= self.h:
-            raise ValueError(f"row {i} out of range [1..{self.h}]")
         m, shift = self.mv, int(self.ragged)
         sym, delta, lam, end = m.fore_vals, m.fore_delta, m.fore_lam, m.fore_ends
         g, out = self.find_fore_subrun(1, i) - 1, []
@@ -329,8 +338,8 @@ def assemble_step_index(h: int, w: int, sigma: int, ragged: bool,
         first_piece[t:], back_nq[t:] = first, nq
         back = dict(back_starts=bs, back_first=bfirst.astype(dt), back_ends=bends,
                     back_vals=bvals, back_nq=back_nq, first_piece=first_piece,
-                    piece_starts=piece_starts, piece_ends=piece_ends,
-                    piece_shift=bs[src] - piece_starts, piece_src=src.astype(dt))
+                    piece_ends=piece_ends, piece_shift=bs[src] - piece_starts,
+                    piece_src=src.astype(dt))
     return StepIndex(h=h, w=w, sigma=sigma, ragged=ragged, col_lens=col_lens, fore_starts=fs,
                      fore_vals=fv, total_runs=total_runs, fore_first=ffirst.astype(dt),
                      fore_ends=fends, fore_delta=delta, fore_lam=lam, fore_nq=fore_nq,

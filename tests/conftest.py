@@ -68,7 +68,7 @@ def flat_fore_image(pc, j, starts):
     the image starts in column j+1, ascending, and the starts of the live
     parts in the same order."""
     sym = pc.cols[j - 1][starts - 1]
-    lens = np.append(starts[1:], pc.col_len(j) + 1) - starts
+    lens = np.append(starts[1:], pc.cols[j - 1].size + 1) - starts
     order, image, _ = fore_shift(starts, lens, sym, np.zeros(starts.size, np.intp),
                                  np.array([0, starts.size]), int(pc.ragged))
     live = sym[order] >= pc.ragged
@@ -91,6 +91,14 @@ def prefix_index(p: Panel, sorted_rows=False):
 def retrieval_index(p: Panel):
     """The retrieval part of a forward-only index: its step index."""
     return build_index(p, fore_only=True).retrieval
+
+
+def enumerate_ids(ix, pattern):
+    """Longest shared prefix length and the original ids of all rows carrying
+    it, in sorted-position order: ``partial_prefix_search`` and then
+    ``row_ids``, the two calls of the CLI's ``prefix --enumerate``."""
+    m_prime, occ, witness = ix.partial_prefix_search(pattern)
+    return m_prime, ix.row_ids(witness, occ)
 
 
 def sorted_interval(ix, pattern):
@@ -195,17 +203,17 @@ def reference_fore_image(pc, j, starts):
     sym = pc.cols[j - 1][starts - 1]
     # terminator parts sort first and drop out
     order = np.argsort(sym, kind="stable")[np.count_nonzero(sym < pc.ragged):]
-    lens = (np.append(starts[1:], pc.col_len(j) + 1) - starts)[order]
+    lens = (np.append(starts[1:], pc.cols[j - 1].size + 1) - starts)[order]
     return np.cumsum(lens) - lens + 1, starts[order]
 
 
 def reference_back_subruns(pc):
     """Per-column oracle for ``build_back_subruns``: each column's runs
     normalized against the forward image of the previous list."""
-    lists = [pc.runs_at(1)]
+    lists = [pc.runs[0]]
     for j in range(2, pc.w + 1):
         image, _ = reference_fore_image(pc, j - 1, lists[-1])
-        lists.append(reference_normalize(pc.runs_at(j), pc.col_len(j), image)[0])
+        lists.append(reference_normalize(pc.runs[j - 1], pc.cols[j - 1].size, image)[0])
     return lists
 
 
@@ -214,11 +222,11 @@ def reference_fore_subruns(pc):
     normalized against the next list and the pieces pulled back by the
     run's shift; terminator runs pass through."""
     w = pc.w
-    lists = [pc.runs_at(w)] * w
+    lists = [pc.runs[w - 1]] * w
     for j in range(w - 1, 0, -1):
-        runs = pc.runs_at(j)
+        runs = pc.runs[j - 1]
         image, live = reference_fore_image(pc, j, runs)
-        pieces, src = reference_normalize(image, pc.col_len(j + 1), lists[j])
+        pieces, src = reference_normalize(image, pc.cols[j].size, lists[j])
         dead = runs[pc.cols[j - 1][runs - 1] < pc.ragged]
         lists[j - 1] = np.sort(np.concatenate((live[src] + pieces - image[src], dead)))
     return lists

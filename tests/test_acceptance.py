@@ -16,9 +16,9 @@ from pbwtstep.pbwt import build_pbwt, column_orders
 from pbwtstep.stepindex import build_step_index
 from pbwtstep.subruns import build_back_subruns, build_fore_subruns
 
-from conftest import (build_pbwt_reference, in_subrun, normalized_pieces, pattern_battery,
-                      pos_lookup_back, pos_lookup_fore, prefix_index, rand_panel, rand_partition,
-                      retrieval_index, scan_prefix, sorted_interval, starts_of)
+from conftest import (build_pbwt_reference, enumerate_ids, in_subrun, normalized_pieces,
+                      pattern_battery, pos_lookup_back, pos_lookup_fore, prefix_index, rand_panel,
+                      rand_partition, retrieval_index, scan_prefix, sorted_interval, starts_of)
 import test_golden_fixtures as golden
 
 
@@ -155,7 +155,7 @@ def test_c07_sorted_variant_and_enumeration(corpus):
             m, occ, _ = scan_prefix(p, pat)
             m2, (lo, hi) = sorted_interval(ix, pat)
             assert (m2, hi - lo + 1) == (m, occ)
-            m3, ids = ix.enumerate_prefixed(pat)
+            m3, ids = enumerate_ids(ix, pat)
             want = [i for i in range(1, p.h + 1) if rows[i - 1][:m] == tuple(pat[:m])] \
                 if m else list(range(1, p.h + 1))
             assert m3 == m and sorted(ids) == want
@@ -183,8 +183,8 @@ def test_c09_ragged_mode():
         for j, (col, pa) in enumerate(column_orders(p), 1):
             assert np.array_equal(col, ref.cols[j - 1]) and np.array_equal(pa, ref.pas[j - 1])
             assert np.array_equal(pc.cols[j - 1], ref.cols[j - 1])
-            assert np.array_equal(pc.run_rows[j - 1], ref.pas[j - 1][pc.runs_at(j) - 1])
-        no_term = sum(int(np.count_nonzero(pc.cols[j - 1][pc.runs_at(j) - 1] != 0))
+            assert np.array_equal(pc.run_rows[j - 1], ref.pas[j - 1][pc.runs[j - 1] - 1])
+        no_term = sum(int(np.count_nonzero(pc.cols[j - 1][pc.runs[j - 1] - 1] != 0))
                       for j in range(1, pc.w + 1))
         assert pc.total_runs <= no_term + p.h
         ix = prefix_index(p)

@@ -35,8 +35,8 @@ FORE_CUR = [1, 6, 7, 11, 16]
 
 def test_panel_a_run_layout():
     pc = build_pbwt(PANEL_A)
-    assert pc.runs_at(1).tolist() == [1, 3, 4, 9, 12, 14, 15]
-    assert pc.runs_at(2).tolist() == [1, 2, 12]
+    assert pc.runs[0].tolist() == [1, 3, 4, 9, 12, 14, 15]
+    assert pc.runs[1].tolist() == [1, 2, 12]
 
 
 def test_fore_map_reference_layout():
@@ -55,7 +55,7 @@ def test_normalization_example():
 def test_back_subrun_refinement():
     pc = build_pbwt(PANEL_A)
     image, _ = flat_fore_image(pc, 1, BACK_PREV)
-    assert normalized_pieces(pc.runs_at(2), 16, image)[0].tolist() == BACK_CUR.tolist()
+    assert normalized_pieces(pc.runs[1], 16, image)[0].tolist() == BACK_CUR.tolist()
 
 
 def test_back_quadruples_and_step():
@@ -65,16 +65,16 @@ def test_back_quadruples_and_step():
     # sub-run [6,10] overlaps the images of column-1 sub-runs 1, 7 and 8
     assert int(st.back_nq[g]) == 3
     p = int(st.first_piece[g])
-    assert st.piece_starts[p:p + 3].tolist() == [6, 8, 10]
+    assert st.piece_ends[p - 1:p + 2].tolist() == [6, 8, 10]   # each piece starts where one ends
     assert (st.piece_src[p:p + 3] - st.back_first[0] + 1).tolist() == [1, 7, 8]
     assert st.back_step(7, 2, 3) == (2, 1)
 
 
 def test_panel_b_fore_subruns():
     pc = build_pbwt(PANEL_B)
-    assert pc.runs_at(1).tolist() == [1, 6, 7]
-    assert pc.runs_at(2).tolist() == REF_LAYOUT
-    image, live = flat_fore_image(pc, 1, pc.runs_at(1))
+    assert pc.runs[0].tolist() == [1, 6, 7]
+    assert pc.runs[1].tolist() == REF_LAYOUT
+    image, live = flat_fore_image(pc, 1, pc.runs[0])
     assert image.tolist() == [1, 2, 12] and live.tolist() == [6, 7, 1]
     lists = build_fore_subruns(pc)
     assert lists[1].tolist() == REF_LAYOUT
@@ -85,7 +85,7 @@ def test_back_map_example():
     # the run image of column 1, normalized against the reference layout,
     # pulls back by the per-run shift onto FORE_CUR
     pc = build_pbwt(PANEL_B)
-    image, live = flat_fore_image(pc, 1, pc.runs_at(1))
+    image, live = flat_fore_image(pc, 1, pc.runs[0])
     pieces, src = normalized_pieces(image, 16, np.array(REF_LAYOUT))
     assert pieces.tolist() == [1, 2, 6, 11, 12]
     back = live[src] + pieces - image[src]

@@ -16,7 +16,7 @@ from pbwtstep.io import (IndexFormatError, MAGIC, build_index, load_index,
                          load_panel, parse_panel, parse_pattern, save_index)
 from pbwtstep.panel import Panel, PanelError
 
-from conftest import pattern_battery, rand_panel
+from conftest import enumerate_ids, pattern_battery, rand_panel
 from test_golden_fixtures import PANEL_A, PANEL_B
 
 
@@ -197,8 +197,8 @@ def test_round_trip_preserves_queries(rng, tmp_path):
             assert loaded.prefix.partial_prefix_search(pat) == \
                 ix.prefix.partial_prefix_search(pat)
             if ix.sorted_rows:
-                assert loaded.prefix.enumerate_prefixed(pat) == \
-                    ix.prefix.enumerate_prefixed(pat)
+                assert enumerate_ids(loaded.prefix, pat) == \
+                    enumerate_ids(ix.prefix, pat)
         for i in range(1, p.h + 1):
             assert loaded.retrieval.extract(i) == ix.retrieval.extract(i)
         if not ix.fore_only:
@@ -262,6 +262,15 @@ def test_wrong_magic_rejected(tmp_path):
     path.write_bytes(b"NOTANIDX" + b"\0" * 64)
     with pytest.raises(IndexFormatError, match="magic"):
         load_index(str(path))
+
+
+def test_short_file_rejected(tmp_path, capsys):
+    path = tmp_path / "short.idx"
+    path.write_bytes(MAGIC)                 # the magic without the header after it
+    with pytest.raises(IndexFormatError, match="file too short"):
+        load_index(str(path))
+    assert main(["extract", str(path), "1"]) == 2
+    assert "file too short" in capsys.readouterr().err
 
 
 def test_version_mismatch_rejected(rng, tmp_path):
@@ -602,7 +611,7 @@ def test_cli_prefix_enumerate(panel_file, tmp_path, capsys):
 
 
 def test_cli_enumerate_matches_two_call_form(tmp_path, capsys):
-    # the one-search --enumerate output equals enumerate_prefixed's ids under
+    # the one-search --enumerate output equals row_ids' ids under
     # partial_prefix_search's line, on a sorted fixed-length and a sorted ragged index
     panel, idx = tmp_path / "p.txt", str(tmp_path / "p.idx")
     for text, flags in (("0110\n1010\n0111\n0010\n1110\n", []),
@@ -613,8 +622,8 @@ def test_cli_enumerate_matches_two_call_form(tmp_path, capsys):
         capsys.readouterr()
         for text_pat in ("", "0", "01", "011", "0110", "01101", "1", "10", "2"):
             pat = parse_pattern(text_pat, "digits")
-            m_prime, ids = ix.enumerate_prefixed(pat)
-            _, occ, witness = ix.partial_prefix_search(pat)
+            m_prime, occ, witness = ix.partial_prefix_search(pat)
+            ids = ix.row_ids(witness, occ)
             assert main(["prefix", idx, text_pat, "--enumerate"]) == 0
             assert capsys.readouterr().out == (f"m'={m_prime} occ={occ} index={witness}\n"
                                                f"ids={','.join(map(str, ids))}\n")
@@ -726,6 +735,22 @@ def test_selftest_catches_an_off_by_one_step(monkeypatch, name):
     monkeypatch.setattr(StepIndex, name, off_by_one)
     ok, summary = run_selftest(panels=10)
     assert not ok and f"{name} mismatch" in summary
+
+
+def test_selftest_round_trips_an_index_file(monkeypatch):
+    from pbwtstep import selftest
+
+    assert selftest.run_selftest(panels=10)[0]     # the 10th panel goes through a file
+    load = selftest.load_index
+
+    def load_broken(path):
+        ix = load(path)
+        ix.step.extract = lambda i: [-1]
+        return ix
+
+    monkeypatch.setattr(selftest, "load_index", load_broken)
+    ok, summary = selftest.run_selftest(panels=10)
+    assert not ok and "round-trip extract mismatch" in summary
 
 
 def test_selftest_failure_counts_passed_checks(monkeypatch):

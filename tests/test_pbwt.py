@@ -24,7 +24,7 @@ def test_small_panel_columns():
 def test_identical_rows_single_run():
     p = Panel.from_strings(["0110"] * 7)
     pc = build_pbwt(p)
-    assert all(len(pc.runs_at(j)) == 1 for j in range(1, 5))
+    assert all(len(pc.runs[j - 1]) == 1 for j in range(1, 5))
     assert pc.total_runs == 4
     for table in pos_lookup_fore(p) + pos_lookup_back(p)[1:]:
         assert table.tolist() == list(range(1, 8))
@@ -37,7 +37,7 @@ def test_worked_example_panel():
     pc = build_pbwt(p)
     target = int(pos_lookup_fore(p)[3][4])
     assert target == 2
-    assert np.searchsorted(pc.runs_at(5), target, side="right") == 1
+    assert np.searchsorted(pc.runs[4], target, side="right") == 1
 
 
 def test_column_range_errors():
@@ -90,7 +90,7 @@ def _check_against_reference(p):
         col, pa = orders[j - 1]
         assert np.array_equal(col, ref.cols[j - 1]) and np.array_equal(pa, ref.pas[j - 1])
         assert np.array_equal(pc.cols[j - 1], ref.cols[j - 1])
-        assert np.array_equal(pc.runs_at(j), ref.runs[j - 1])
+        assert np.array_equal(pc.runs[j - 1], ref.runs[j - 1])
         assert np.array_equal(pc.run_rows[j - 1], ref.pas[j - 1][ref.runs[j - 1] - 1])
     return pc
 
@@ -145,7 +145,7 @@ def test_fore_tables_match_naive(rng):
             first, starts, _, live, delta, _, _ = run_shifts(pc)
             targets = np.where(live, starts + delta, 0)
             for j, table in enumerate(pos_lookup_fore(p), 1):
-                runs = pc.runs_at(j)
+                runs = pc.runs[j - 1]
                 got = targets[first[j - 1]:first[j]].tolist()
                 assert got == table[runs - 1].tolist()
 

@@ -9,8 +9,8 @@ from pbwtstep.pbwt import build_pbwt
 from pbwtstep.prefixsearch import PrefixSearchIndex, sort_panel
 from pbwtstep.stepindex import assemble_step_index
 
-from conftest import (build_pbwt_reference, pattern_battery, prefix_arrays, prefix_index,
-                      rand_panel, scan_prefix, sorted_interval)
+from conftest import (build_pbwt_reference, enumerate_ids, pattern_battery, prefix_arrays,
+                      prefix_index, rand_panel, scan_prefix, sorted_interval)
 
 SMALL = Panel.from_strings(["01", "10", "00"])
 
@@ -43,10 +43,10 @@ def test_sorted_variant_examples():
 
 def test_enumeration_examples():
     ix = prefix_index(SMALL, sorted_rows=True)
-    assert ix.enumerate_prefixed([0]) == (1, [3, 1])   # sorted-position order
-    m, ids = ix.enumerate_prefixed([])
+    assert enumerate_ids(ix, [0]) == (1, [3, 1])   # sorted-position order
+    m, ids = enumerate_ids(ix, [])
     assert m == 0 and sorted(ids) == [1, 2, 3]
-    m, ids = ix.enumerate_prefixed([5])                # no matching first symbol
+    m, ids = enumerate_ids(ix, [5])                # no matching first symbol
     assert m == 0 and sorted(ids) == [1, 2, 3]
 
 
@@ -55,7 +55,7 @@ def test_unsorted_index_refuses_interval_queries():
     with pytest.raises(ValueError):
         ix.row_ids(1, 1)
     with pytest.raises(ValueError):
-        ix.enumerate_prefixed([0])
+        enumerate_ids(ix, [0])
 
 
 def test_no_occurrence_inside_interval():
@@ -181,7 +181,7 @@ def test_sorted_and_enumeration_match_oracle(rng):
                 m, occ, _ = scan_prefix(p, pat)
                 m2, (lo, hi) = sorted_interval(ix, pat)
                 assert (m2, hi - lo + 1) == (m, occ)
-                m3, ids = ix.enumerate_prefixed(pat)
+                m3, ids = enumerate_ids(ix, pat)
                 want = [i for i in range(1, p.h + 1)
                         if len(rows[i - 1]) >= m and rows[i - 1][:m] == tuple(pat[:m])]
                 assert m3 == m and sorted(ids) == (want if m else list(range(1, p.h + 1)))
@@ -215,7 +215,7 @@ def test_terminator_run_accounting(rng):
     for _ in range(50):
         p = rand_panel(rng, ragged=True)
         pc = build_pbwt(p)
-        no_term = sum(int(np.count_nonzero(pc.cols[j - 1][pc.runs_at(j) - 1] != 0))
+        no_term = sum(int(np.count_nonzero(pc.cols[j - 1][pc.runs[j - 1] - 1] != 0))
                       for j in range(1, pc.w + 1))
         assert pc.total_runs <= no_term + p.h
 

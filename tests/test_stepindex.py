@@ -134,6 +134,31 @@ def test_symbol_access_small_example():
         assert st.symbol_at_back(j, 1) == 0
 
 
+LOOKUPS = Panel.from_strings(["011", "100", "001", "110"])    # 4, 3 and 4 fore sub-runs
+BAD_LOOKUPS = [
+    ("", "symbol_at_fore", (2, 5)),
+    ("", "symbol_at_back", (2, 4)),
+    ("", "symbol_at_fore", (1, 0)),
+    ("", "symbol_at_fore", (4, 1)),
+    ("", "find_fore_subrun", (1, 0)),
+    ("", "find_fore_subrun", (1, 5)),
+    ("", "find_fore_subrun", (0, 1)),
+    ("", "find_back_subrun", (4, 1)),
+    ("fore_only", "find_back_subrun", (1, 1)),
+    ("fore_only", "symbol_at_back", (1, 1)),
+    ("sorted_rows", "row_ids", (0, 2)),
+    ("sorted_rows", "row_ids", (4, 3)),
+]
+
+
+@pytest.mark.parametrize("flag, name, args", BAD_LOOKUPS,
+                         ids=[f"{f or 'plain'}-{n}{a}" for f, n, a in BAD_LOOKUPS])
+def test_lookups_refuse_bad_arguments(flag, name, args):
+    ix = build_index(LOOKUPS, **({flag: True} if flag else {}))
+    with pytest.raises(ValueError, match="out of range|no (fore|back) sub-runs"):
+        getattr(ix.prefix if name == "row_ids" else ix.step, name)(*args)
+
+
 def test_space_is_linear_in_runs(rng):
     for _ in range(60):
         p = rand_panel(rng, h_max=32, w_max=32)
@@ -179,12 +204,12 @@ def test_ragged_back_total_fore_partial(rng):
         pc, (fore, back), st = build_all(p)
         back_t = pos_lookup_back(p)
         for j in range(pc.w, 1, -1):
-            for i in range(1, pc.col_len(j) + 1):
+            for i in range(1, pc.cols[j - 1].size + 1):
                 x = st.find_back_subrun(j, i)
                 assert st.back_step(i, j, x)[0] == int(back_t[j - 1][i - 1])
         fore_t = pos_lookup_fore(p)
         for j in range(1, pc.w):
-            for i in range(1, pc.col_len(j) + 1):
+            for i in range(1, pc.cols[j - 1].size + 1):
                 x = st.find_fore_subrun(j, i)
                 if st.ragged and st.symbol_at_fore(j, x) == 0:
                     continue

@@ -32,14 +32,14 @@ def test_fore_map_elementwise(rng):
             pc = build_pbwt(p)
             fore_t, back = pos_lookup_fore(p), build_back_subruns(pc)
             for j in range(1, pc.w):
-                for starts in (pc.runs_at(j), back[j - 1]):
+                for starts in (pc.runs[j - 1], back[j - 1]):
                     image, live = flat_fore_image(pc, j, starts)
                     assert image[0] == 1 and (np.diff(image) > 0).all()
                     alive = [s for s in starts.tolist() if fore_t[j - 1][s - 1]]
                     assert sorted(live.tolist()) == alive
                     dead_parts += starts.size - len(alive)
-                    ends = dict(zip(starts.tolist(), _ends(starts, pc.col_len(j)).tolist()))
-                    img_ends = _ends(image, pc.col_len(j + 1))
+                    ends = dict(zip(starts.tolist(), _ends(starts, pc.cols[j - 1].size).tolist()))
+                    img_ends = _ends(image, pc.cols[j].size)
                     for b, e, s in zip(image.tolist(), img_ends.tolist(), live.tolist()):
                         assert (b, e) == (fore_t[j - 1][s - 1], fore_t[j - 1][ends[s] - 1])
     assert dead_parts
@@ -65,8 +65,8 @@ def test_fore_pullback_lands_on_pieces(rng):
             lists = build_fore_subruns(pc)
             fore_t = pos_lookup_fore(p)
             for j in range(1, pc.w):
-                image, _ = flat_fore_image(pc, j, pc.runs_at(j))
-                pieces = set(normalized_pieces(image, pc.col_len(j + 1), lists[j])[0].tolist())
+                image, _ = flat_fore_image(pc, j, pc.runs[j - 1])
+                pieces = set(normalized_pieces(image, pc.cols[j].size, lists[j])[0].tolist())
                 for s in lists[j - 1].tolist():
                     if fore_t[j - 1][s - 1]:        # 0 on a terminator
                         assert fore_t[j - 1][s - 1] in pieces
@@ -83,12 +83,12 @@ def test_back_map_inverts_fore_map(rng):
             lists = build_fore_subruns(pc)
             back_t = pos_lookup_back(p)
             for j in range(1, pc.w):
-                image, live = flat_fore_image(pc, j, pc.runs_at(j))
-                pos = np.arange(1, pc.col_len(j + 1) + 1)
+                image, live = flat_fore_image(pc, j, pc.runs[j - 1])
+                pos = np.arange(1, pc.cols[j].size + 1)
                 r = np.searchsorted(image, pos, side="right") - 1
                 back = live[r] + pos - image[r]
                 assert np.array_equal(back, back_t[j])
-                pieces, src = normalized_pieces(image, pc.col_len(j + 1), lists[j])
+                pieces, src = normalized_pieces(image, pc.cols[j].size, lists[j])
                 pulled = live[src] + pieces - image[src]
                 assert np.isin(pulled, lists[j - 1]).all()
 
@@ -100,7 +100,7 @@ def test_build_back_subruns_bases_and_bounds(rng):
         p = rand_panel(rng)
         pc = build_pbwt(p)
         lists = build_back_subruns(pc)
-        assert lists[0].tolist() == pc.runs_at(1).tolist()
+        assert lists[0].tolist() == pc.runs[0].tolist()
         assert sum(len(l) for l in lists) < 2 * pc.total_runs
         for j in range(2, pc.w + 1):
             image, _ = flat_fore_image(pc, j - 1, lists[j - 2])
@@ -118,7 +118,7 @@ def test_build_fore_subruns_bases_and_bounds(rng):
         p = rand_panel(rng)
         pc = build_pbwt(p)
         lists = build_fore_subruns(pc)
-        assert lists[pc.w - 1].tolist() == pc.runs_at(pc.w).tolist()
+        assert lists[pc.w - 1].tolist() == pc.runs[pc.w - 1].tolist()
         assert sum(len(l) for l in lists) < 2 * pc.total_runs
         for j in range(1, pc.w):
             # forward images of column-j sub-runs overlap <= 3 next-column sub-runs
@@ -139,9 +139,9 @@ def test_subruns_partition_each_column(rng):
             for j in range(1, pc.w + 1):
                 for lst in (back[j - 1], fore[j - 1]):
                     assert lst[0] == 1 and (np.diff(lst) > 0).all()
-                    assert lst[-1] <= pc.col_len(j)
+                    assert lst[-1] <= pc.cols[j - 1].size
                     # each sub-run lies inside one run
-                    assert np.isin(pc.runs_at(j), lst).all()
+                    assert np.isin(pc.runs[j - 1], lst).all()
 
 
 def test_ragged_bounds_hold(rng):
@@ -179,11 +179,11 @@ def test_cut_only_past_three_sub_runs(n_runs, cut):
     assert k.tolist() == [len(cut)] and cuts.tolist() == cut
     # fore side: column 1 is one run, column 2 has n_runs runs
     pc = build_pbwt(Panel.from_rows([(0, r // 2 % 2) for r in range(2 * n_runs)]))
-    assert pc.runs_at(2).size == n_runs
+    assert pc.runs[1].size == n_runs
     assert build_fore_subruns(pc)[0].tolist() == [1] + cut
     # back side: column 1 has n_runs runs, whose images column 2's one run spans
     pc = build_pbwt(Panel.from_rows([(r // 2, 0) for r in range(2 * n_runs)]))
-    assert pc.runs_at(1).size == n_runs and pc.runs_at(2).size == 1
+    assert pc.runs[0].size == n_runs and pc.runs[1].size == 1
     assert build_back_subruns(pc)[1].tolist() == [1] + cut
 
 
