@@ -5,9 +5,9 @@ of adjacent distinct row pairs (plus one) and that quantity times the width;
 per column, runs are no more numerous than the canonical blocks of fully
 identical rows, whose count never grows from one column to the next.
 
-One lexsort gives each row a class, so a column's canonical blocks are the
-runs of classes along its prefix array, which one pass of ``column_orders``
-yields with the column's symbols: O(h*w) for the whole panel.
+One ``sort_panel`` gives each row a class, so a column's canonical blocks
+are the runs of classes along its prefix array, which one pass of
+``column_orders`` yields with the column's symbols: O(h*w) for the panel.
 """
 
 from __future__ import annotations

@@ -175,5 +175,9 @@ def assemble_prefix_index(pc, step: StepIndex,
 def sort_panel(p: Panel) -> np.ndarray:
     """The order of a sorted index, not a sorted panel: the 1-based row ids in
     lexicographic row order, ties in file order; a ragged row's terminator and
-    padding sort it before its extensions."""
-    return np.lexsort(internal_matrix(p).T[::-1]) + 1
+    padding sort it before its extensions. Each row of the unsigned
+    ``internal_matrix``, laid out in big-endian bytes, is one byte string that
+    compares as the row does, so one stable argsort orders them."""
+    mat = internal_matrix(p)
+    rows = np.ascontiguousarray(mat, mat.dtype.newbyteorder(">"))
+    return np.argsort(rows.view((np.void, rows[0].nbytes)).ravel(), kind="stable") + 1

@@ -14,9 +14,10 @@ virtual column w+1, so the rows of one symbol between two positions of any
 column count as the distance of their images. Back sub-run g overlaps at
 most three pieces, the images of the previous column's back sub-runs, from
 ``first_piece[g]`` on. ``by_symbol`` orders the fore sub-runs by (column,
-symbol, position) for rank/select. Queries read the tables
-through the memoryviews in ``mv``, which return Python ints; ``fore_cols``
-and ``back_cols`` are lazy per-column views for the benchmark's table probe.
+symbol, position) for rank/select, one radix sort in ``fore_shift``, in
+which the images tile columns 2..w. Queries read the tables through the
+memoryviews in ``mv``, which return Python ints; ``fore_cols`` and
+``back_cols`` are lazy per-column views for the benchmark's table probe.
 
 Every table is one dtype, ``table_dtype``: int32 when the global row numbers
 and the symbols fit it, int64 otherwise, as move tables store only the bits
@@ -215,8 +216,8 @@ def split_columns(starts: np.ndarray, col_lens: np.ndarray, side: str):
     first = np.flatnonzero(starts == 1)
     if first.size != col_lens.size or first[:1].any():
         raise ValueError(f"{side} sub-run starts do not split into {col_lens.size} columns")
-    col = np.cumsum(starts == 1) - 1
     first = np.append(first, starts.size)
+    col = np.repeat(np.arange(col_lens.size), np.diff(first))
     ends = np.empty_like(starts)
     ends[:-1] = starts[1:]
     ends[first[1:] - 1] = col_lens + 1
@@ -237,15 +238,21 @@ def fore_shift(starts, lens, sym, col, first, lo: int):
     """The forward map of parts that each lie in one run, listed column by
     column (``col``: each part's 0-based column; ``first``: each column's
     first part, then the count). A part of symbol c at s goes to C[c] +
-    rank_c(s), so one stable sort on (column, symbol) lays the images out in
+    rank_c(s), so one stable sort on (column, symbol), of the key column *
+    (max symbol + 1) + symbol in its narrowest unsigned dtype (numpy's radix
+    sort up to 16 bits; ``lexsort`` past int64), lays the images out in
     order; parts below ``lo`` (terminators) sort first and have no image.
     Returns that order, the 1-based image starts in it, and each part's
     shift, image start minus start (0 on a terminator)."""
-    order = np.lexsort((sym, col))
+    m, n = int(sym.max(initial=0)) + 1, first.size - 1      # every key is below n * m
+    key = col * m if n * m <= 2**63 else None               # symbols added in place below
+    order = np.lexsort((sym, col)) if key is None else np.argsort(np.add(
+        key, sym, out=key, dtype=np.int64).astype(np.min_scalar_type(n * m - 1)), kind="stable")
+    del key
     live = sym[order] >= lo
     slive = lens[order] * live
     image = np.cumsum(slive, dtype=lens.dtype) - slive
-    image -= image[first[:-1]][col[order]] - 1
+    image -= image[first[:-1]][col] - 1     # the order keeps each part in its column
     delta = np.zeros_like(starts)
     delta[order] = (image - starts[order]) * live
     return order, image, delta
@@ -257,7 +264,9 @@ def assemble_step_index(h: int, w: int, sigma: int, ragged: bool,
     column's sub-runs in turn (``back_starts`` is None for a fore-only index);
     raises ValueError when they do not describe a valid index. Every table is
     ``table_dtype``; the sorts' and searches' outputs stay intp, which numpy
-    gathers with directly, until they are stored."""
+    gathers with directly, until they are stored. In sort order the images
+    tile columns 2..w, each ending a row before the next, so an overlap count
+    needs one search: for the sub-run holding the image's start."""
     # the limits keep the global row positions below inside int64
     if not (h >= 1 and w >= 1 and 1 <= sigma < 2**62 and h * w < 2**62):
         raise ValueError(f"dimensions out of range: h={h} w={w} sigma={sigma}")
@@ -277,17 +286,16 @@ def assemble_step_index(h: int, w: int, sigma: int, ragged: bool,
     # the images and rank/select share one stable sort on (column, symbol);
     # every live sub-run has an image, column w's in a virtual column w+1
     order, simage, delta = fore_shift(fs, fends - fs, fv, fcol, ffirst, lo)
-    scol, ssym, slen = fcol[order], fv[order], (fends - fs)[order]
-    del fcol
-    offsets = np.flatnonzero(np.append(True, (scol[1:] != scol[:-1]) | (ssym[1:] != ssym[:-1])))
-    # the next column's sub-runs under each image, searched in sort order,
-    # where the images ascend
-    ssteps = np.flatnonzero((ssym >= lo) & (scol < w - 1))
-    tb = base[scol[ssteps] + 1] + simage[ssteps]
+    ssym = fv[order]                            # fcol is also the sorted parts' column
+    offsets = np.flatnonzero(np.append(True, (fcol[1:] != fcol[:-1]) | (ssym[1:] != ssym[:-1])))
+    # the next column's sub-runs under each image, the last ending in column w's last
+    ssteps = np.flatnonzero((ssym >= lo) & (fcol < w - 1))
+    tb = base[fcol[ssteps] + 1] + simage[ssteps]
     del simage
     first = np.searchsorted(fglob, tb, side="right") - 1
-    nq = np.searchsorted(fglob, tb + slen[ssteps] - 1, side="right") - first
-    del tb, slen
+    last = np.append(first[1:] - (fglob[first[1:]] == tb[1:]), fglob.size - 1)
+    nq = last[:first.size] - first + 1
+    del tb, last
     if (nq > 3).any():
         raise ValueError("a fore sub-run's image overlaps more than 3 sub-runs")
     steps = order[ssteps]
@@ -295,8 +303,8 @@ def assemble_step_index(h: int, w: int, sigma: int, ragged: bool,
     lam, fore_nq = np.zeros_like(fs), np.zeros(fs.size, np.int8)
     lam[steps], fore_nq[steps] = first, nq
     del steps, first, nq
-    sym_first, sym_vals = np.searchsorted(scol[offsets], np.arange(w + 1)), ssym[offsets]
-    del scol, ssym
+    sym_first, sym_vals = np.searchsorted(fcol[offsets], np.arange(w + 1)), ssym[offsets]
+    del fcol, ssym
     by_symbol, sym_offsets = order.astype(dt), np.append(offsets, fs.size).astype(dt)
     del order, offsets
     run_start = run_starts(fv, ffirst)
@@ -310,28 +318,26 @@ def assemble_step_index(h: int, w: int, sigma: int, ragged: bool,
         if bs.size >= 2 * total_runs:
             raise ValueError(f"{bs.size} back sub-runs, not fewer than 2*total_runs")
         bglob = base[bcol] + bs
-        # both ascend, so each run boundary must equal the last back start at or before it
-        rglob = fglob[run_start]
-        if (bglob[np.searchsorted(bglob, rglob, side="right") - 1] != rglob).any():
-            raise ValueError("a run boundary is not a back sub-run start")
-        del rglob
-        # each back sub-run lies in one run, so the fore sub-run holding its
-        # start gives its symbol and the shift of its contiguous image
+        # each run start must be a back start (one at most), so each back sub-run lies in a run
         k = np.searchsorted(fglob, bglob, side="right") - 1
+        if np.count_nonzero(run_start[k[fglob[k] == bglob]]) < total_runs:
+            raise ValueError("a run boundary is not a back sub-run start")
         bvals = fv[k]
-        src = np.flatnonzero((bvals >= lo) & (bcol < w - 1))
-        pglob = base[bcol[src] + 1] + bs[src] + delta[k[src]]
         del k
-        porder = np.argsort(pglob, kind="stable")
-        pglob, src = pglob[porder], src[porder]
-        del porder
-        piece_starts = pglob - base[bcol[src] + 1]
-        # the pieces tile columns 2..w, so they split like sub-runs and the
-        # searches below stay in the column
+        # so each live back sub-run has a contiguous image, a piece, which
+        # fore_shift lays out as it does the fore sub-runs' images
+        order, image, _ = fore_shift(bs, bends - bs, bvals, bcol, bfirst, lo)
+        live = np.flatnonzero((bvals[order] >= lo) & (bcol < w - 1))
+        src, piece_starts = order[live], image[live]
+        del order, image, live
+        pglob = base[bcol[src] + 1] + piece_starts
+        # the pieces tile columns 2..w, as back sub-runs t on do, so they split like them
         _, _, piece_ends = split_columns(piece_starts, col_lens[1:], "piece")
         t = int(bfirst[1])
         first = np.searchsorted(pglob, bglob[t:], side="right") - 1
-        nq = np.searchsorted(pglob, base[bcol[t:]] + bends[t:] - 1, side="right") - first
+        last = np.append(first[1:] - (pglob[first[1:]] == bglob[t + 1:]), pglob.size - 1)
+        nq = last[:first.size] - first + 1
+        del fglob, bglob, bcol, pglob, last
         if (nq > 3).any():
             raise ValueError("a back sub-run overlaps more than 3 pieces")
         first_piece, back_nq = np.zeros_like(bs), np.zeros(bs.size, np.int8)

@@ -3,8 +3,9 @@
 The oracles here deliberately avoid the library's fast paths: the PBWT is
 checked against a comparison sort, stepping against prefix-array position
 lookups, prefix search against the selftest's row scan, normalization
-against an O(n^2) splitter, and the flat sub-run builders against builders
-that sort and cut one column at a time.
+against an O(n^2) splitter, the flat sub-run builders against builders
+that sort and cut one column at a time, and the step-table assembly against
+one that searches both ends of every image.
 """
 
 from types import SimpleNamespace
@@ -16,7 +17,7 @@ from pbwtstep.io import build_index
 from pbwtstep.panel import Panel
 from pbwtstep.pbwt import column_orders, extract_runs, internal_matrix
 from pbwtstep.selftest import scan_prefix_oracle as scan_prefix  # row-scan prefix oracle
-from pbwtstep.stepindex import fore_shift
+from pbwtstep.stepindex import fore_shift, narrow, table_dtype
 from pbwtstep.subruns import normalize
 
 
@@ -230,6 +231,100 @@ def reference_fore_subruns(pc):
         dead = runs[pc.cols[j - 1][runs - 1] < pc.ragged]
         lists[j - 1] = np.sort(np.concatenate((live[src] + pieces - image[src], dead)))
     return lists
+
+
+def _reference_split(starts, col_lens, side):
+    """``split_columns`` with each start's column counted by a cumsum."""
+    first = np.flatnonzero(starts == 1)
+    if first.size != col_lens.size or first[:1].any():
+        raise ValueError(f"{side} sub-run starts do not split into {col_lens.size} columns")
+    col, first = np.cumsum(starts == 1) - 1, np.append(first, starts.size)
+    ends = np.empty_like(starts)
+    ends[:-1] = starts[1:]
+    ends[first[1:] - 1] = col_lens + 1
+    if (ends <= starts).any():
+        raise ValueError(f"{side} sub-run starts not increasing inside their column")
+    return col, first, ends
+
+
+def reference_step_tables(h, w, sigma, ragged, col_lens, fore_starts, fore_vals, back_starts):
+    """Oracle for ``assemble_step_index`` on the same stored arrays: every
+    table by field name, plus ``total_runs``, and ValueError with the
+    assembly's message where it refuses. The (column, symbol) order is
+    ``np.lexsort``'s; each image's overlap count searches both of its ends; a
+    run boundary is checked against the last back start at or before it; the
+    pieces are the back sub-runs' images under the fore shifts, ordered by an
+    argsort of their global starts; and each back sub-run's piece count
+    searches both of its ends."""
+    if not (h >= 1 and w >= 1 and 1 <= sigma < 2**62 and h * w < 2**62):
+        raise ValueError(f"dimensions out of range: h={h} w={w} sigma={sigma}")
+    dt = table_dtype(col_lens, sigma)
+    col_lens, fs, fv = (narrow(a, dt) for a in (col_lens, fore_starts, fore_vals))
+    if col_lens.size != w or int(col_lens[0]) != h or fv.size != fs.size:
+        raise ValueError("array sizes do not match the dimensions")
+    fcol, ffirst, fends = _reference_split(fs, col_lens, "fore")
+    if ((fv < 0) | (fv >= sigma)).any():
+        raise ValueError("fore sub-run symbol outside the alphabet")
+    lo, flen = int(ragged), fends - fs
+    if not np.array_equal(col_lens[1:], np.add.reduceat(flen * (fv >= lo), ffirst[:-1])[:-1]):
+        raise ValueError("column lengths differ from the rows stepping into them")
+    base = np.cumsum(col_lens, dtype=dt) - col_lens
+    fglob = base[fcol] + fs
+    order = np.lexsort((fv, fcol))
+    scol, ssym, slen = fcol[order], fv[order], flen[order]
+    live = slen * (ssym >= lo)
+    image = np.cumsum(live, dtype=dt) - live
+    image -= image[ffirst[:-1]][scol] - 1
+    delta = np.zeros_like(fs)
+    delta[order] = (image - fs[order]) * (ssym >= lo)
+    steps = np.flatnonzero((ssym >= lo) & (scol < w - 1))
+    tb = base[scol[steps] + 1] + image[steps]
+    first = np.searchsorted(fglob, tb, side="right") - 1
+    nq = np.searchsorted(fglob, tb + slen[steps] - 1, side="right") - first
+    if (nq > 3).any():
+        raise ValueError("a fore sub-run's image overlaps more than 3 sub-runs")
+    lam, fore_nq = np.zeros_like(fs), np.zeros(fs.size, np.int8)
+    lam[order[steps]], fore_nq[order[steps]] = first, nq
+    run_start = np.append(True, fv[1:] != fv[:-1])
+    run_start[ffirst[:-1]] = True
+    total_runs = int(run_start.sum())
+    if fs.size >= 2 * total_runs:
+        raise ValueError(f"{fs.size} fore sub-runs, not fewer than 2*total_runs")
+    offsets = np.flatnonzero(np.append(True, (scol[1:] != scol[:-1]) | (ssym[1:] != ssym[:-1])))
+    tables = dict(col_lens=col_lens, fore_starts=fs, fore_vals=fv, total_runs=total_runs,
+                  fore_first=ffirst.astype(dt), fore_ends=fends, fore_delta=delta,
+                  fore_lam=lam, fore_nq=fore_nq, by_symbol=order.astype(dt),
+                  sym_first=np.searchsorted(scol[offsets], np.arange(w + 1)).astype(dt),
+                  sym_vals=ssym[offsets], sym_offsets=np.append(offsets, fs.size).astype(dt))
+    if back_starts is None:
+        return tables
+    bs = narrow(back_starts, dt)
+    bcol, bfirst, bends = _reference_split(bs, col_lens, "back")
+    if bs.size >= 2 * total_runs:
+        raise ValueError(f"{bs.size} back sub-runs, not fewer than 2*total_runs")
+    bglob = base[bcol] + bs
+    rglob = fglob[run_start]
+    if (bglob[np.searchsorted(bglob, rglob, side="right") - 1] != rglob).any():
+        raise ValueError("a run boundary is not a back sub-run start")
+    k = np.searchsorted(fglob, bglob, side="right") - 1
+    bvals = fv[k]
+    src = np.flatnonzero((bvals >= lo) & (bcol < w - 1))
+    pglob = base[bcol[src] + 1] + bs[src] + delta[k[src]]
+    porder = np.argsort(pglob, kind="stable")
+    pglob, src = pglob[porder], src[porder]
+    piece_starts = pglob - base[bcol[src] + 1]
+    _, _, piece_ends = _reference_split(piece_starts, col_lens[1:], "piece")
+    t = int(bfirst[1])
+    first = np.searchsorted(pglob, bglob[t:], side="right") - 1
+    nq = np.searchsorted(pglob, base[bcol[t:]] + bends[t:] - 1, side="right") - first
+    if (nq > 3).any():
+        raise ValueError("a back sub-run overlaps more than 3 pieces")
+    first_piece, back_nq = np.zeros_like(bs), np.zeros(bs.size, np.int8)
+    first_piece[t:], back_nq[t:] = first, nq
+    return tables | dict(back_starts=bs, back_first=bfirst.astype(dt), back_ends=bends,
+                         back_vals=bvals, back_nq=back_nq, first_piece=first_piece,
+                         piece_ends=piece_ends, piece_shift=bs[src] - piece_starts,
+                         piece_src=src.astype(dt))
 
 
 def pattern_battery(rng, p: Panel, count=8):

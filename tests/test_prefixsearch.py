@@ -5,7 +5,7 @@ import pytest
 
 from pbwtstep.io import build_index
 from pbwtstep.panel import Panel
-from pbwtstep.pbwt import build_pbwt
+from pbwtstep.pbwt import build_pbwt, internal_matrix
 from pbwtstep.prefixsearch import PrefixSearchIndex, sort_panel
 from pbwtstep.stepindex import assemble_step_index
 
@@ -232,6 +232,24 @@ def test_sort_panel_matches_tuple_sort(rng):
         assert ids.tolist() == want
         assert [tuple(p.rows[i - 1].tolist()) for i in ids] == \
             sorted(tuple(r.tolist()) for r in p.rows)
+
+
+def test_sort_panel_matches_lexsort(rng):
+    # internal dtypes uint8, uint16 and uint32, the last two where little-endian
+    # bytes would sort wrongly; ragged rows, empty ones among them
+    for sigma in (4, 300, 70_000):
+        for ragged in (False, True):
+            for _ in range(25):
+                h, w = int(rng.integers(1, 40)), int(rng.integers(1, 7))
+                bases = rng.integers(0, sigma, size=(int(rng.integers(1, 6)), w))
+                rows = bases[rng.integers(0, len(bases), size=h)]
+                mut = rng.random(size=rows.shape) < 0.2
+                rows[mut] = rng.integers(0, sigma, size=int(mut.sum()))
+                if ragged:
+                    rows = [r[:int(rng.integers(0, w + 1))] for r in rows]
+                p = Panel.from_rows(list(rows), sigma=sigma, ragged=ragged)
+                want = np.lexsort(internal_matrix(p).T[::-1]) + 1
+                assert sort_panel(p).tolist() == want.tolist()
 
 
 def test_sorted_build_equals_build_of_presorted_panel(rng):

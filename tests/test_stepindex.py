@@ -1,3 +1,6 @@
+import re
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -5,10 +8,11 @@ from pbwtstep.io import build_index, load_index, save_index
 from pbwtstep.panel import Panel
 from pbwtstep.pbwt import build_pbwt
 from pbwtstep.prefixsearch import PrefixSearchIndex
-from pbwtstep.stepindex import assemble_step_index, build_step_index
+from pbwtstep.stepindex import StepIndex, assemble_step_index, build_step_index
 from pbwtstep.subruns import build_back_subruns, build_fore_subruns
 
-from conftest import in_subrun, pos_lookup_back, pos_lookup_fore, prefix_arrays, rand_panel
+from conftest import (in_subrun, pos_lookup_back, pos_lookup_fore, prefix_arrays, rand_panel,
+                      reference_step_tables)
 
 SMALL = Panel.from_strings(["01", "10", "00"])
 
@@ -188,7 +192,20 @@ def test_debug_precondition_checked(rng):
     (4, 2, [4, 4], [1, 2, 3, 4, 1], [0, 1, 0, 1, 0], [1, 2, 3, 4, 1],
      "back sub-run overlaps more than 3 pieces"),
     (2, 1, [2], [1, 2], [0, 1], [1], "run boundary is not a back sub-run start"),
-], ids=["fore bound", "back bound", "fore overlaps", "back overlaps", "run boundary"])
+    # the last image of column 2, rows 2-5 of column 3, holds four sub-runs;
+    # the other images hold one or two
+    (5, 3, [5, 5, 5], [1, 1, 2, 1, 2, 3, 4, 5], [0, 0, 1, 0, 1, 0, 1, 0], None,
+     "image overlaps more than 3"),
+    # column 3's last back sub-run, rows 2-5, holds the images of four of
+    # column 2's one-row back sub-runs; every other overlap is 1 to 3
+    (5, 3, [5, 5, 5], [1, 3, 1, 2, 3, 4, 5, 1], [0, 0, 0, 1, 0, 1, 0, 0],
+     [1, 1, 2, 3, 4, 5, 1, 2], "back sub-run overlaps more than 3 pieces"),
+    # column 3's second run starts at row 2 and its back sub-run at row 3,
+    # inside that run's fore sub-run; columns 1 and 2 are whole runs
+    (3, 3, [3, 3, 3], [1, 1, 1, 2], [0, 0, 0, 1], [1, 1, 1, 3],
+     "run boundary is not a back sub-run start"),
+], ids=["fore bound", "back bound", "fore overlaps", "back overlaps", "run boundary",
+        "last image overlaps", "last back overlaps", "last column run boundary"])
 def test_assembly_refuses_broken_bounds(h, w, col_lens, fore_starts, fore_vals, back_starts,
                                         message):
     # each case breaks only the named invariant of the paper
@@ -196,6 +213,64 @@ def test_assembly_refuses_broken_bounds(h, w, col_lens, fore_starts, fore_vals, 
     with pytest.raises(ValueError, match=message):
         assemble_step_index(h, w, 2, False, np.array(col_lens), np.array(fore_starts),
                             np.array(fore_vals), back)
+
+
+def stored(st):
+    """The arguments that make ``assemble_step_index`` rebuild ``st``."""
+    return [st.h, st.w, st.sigma, st.ragged, st.col_lens, st.fore_starts, st.fore_vals,
+            st.back_starts]
+
+
+def assert_tables_equal(st, want):
+    # every field after h, w, sigma and ragged, in value and dtype
+    for f in fields(StepIndex)[4:]:
+        got, ref = getattr(st, f.name), want.get(f.name)
+        if isinstance(ref, np.ndarray):
+            assert got.dtype == ref.dtype and np.array_equal(got, ref), f.name
+        else:
+            assert got is ref if ref is None else got == ref, f.name
+
+
+def test_assembly_matches_reference(rng):
+    # fixed, ragged, sorted and fore-only panels, a third of them tiny (h <= 5,
+    # w <= 3), where the tiling's last image and its empty cases matter; the
+    # wide alphabets reach 16- and 32-bit sort keys and, at 2^61, keys past int64
+    panels = []
+    for k in range(1200):
+        tiny = k % 3 == 0
+        panels.append((rand_panel(rng, h_max=5 if tiny else 16, w_max=3 if tiny else 12,
+                                  ragged=k % 2 == 1), k % 4 >= 2, k % 5 == 0))
+    for k, sigma in enumerate([300, 70_000, 2**40, 2**61] * 10):
+        p = rand_panel(rng, ragged=k % 2 == 1)
+        rows = [r.astype(np.int64) * (sigma // 4) for r in p.rows]
+        panels.append((Panel.from_rows(rows, sigma=sigma, ragged=p.ragged), k % 3 == 0, False))
+    for p, sorted_rows, fore_only in panels:
+        st = build_index(p, sorted_rows=sorted_rows, fore_only=fore_only).step
+        assert_tables_equal(st, reference_step_tables(*stored(st)))
+
+
+def test_assembly_refuses_as_reference_does(rng):
+    # one stored element of a small index set to 0, 1, 2, a neighbour or its
+    # low bit flipped: both refuse with the same message, or both give equal tables
+    messages = set()
+    for k in range(150):
+        st = build_index(rand_panel(rng, h_max=8, w_max=5, ragged=k % 2 == 1),
+                         fore_only=k % 3 == 0).step
+        for _ in range(10):
+            args = [a.copy() if isinstance(a, np.ndarray) else a for a in stored(st)]
+            a = args[int(rng.integers(4, 7 if st.back_starts is None else 8))]
+            i = int(rng.integers(0, a.size))
+            a[i] = (0, 1, 2, a[i] - 1, a[i] + 1, a[i] ^ 1)[int(rng.integers(0, 6))]
+            try:
+                want = reference_step_tables(*args)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    assemble_step_index(*args)
+                assert str(got.value) == str(exc)
+                messages.add(re.sub(r"\d+", "N", str(exc)))
+                continue
+            assert_tables_equal(assemble_step_index(*args), want)
+    assert len(messages) >= 6, messages
 
 
 def test_ragged_back_total_fore_partial(rng):
