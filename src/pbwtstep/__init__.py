@@ -14,7 +14,7 @@ from .panel import Panel, PanelError, validate_panel
 from .pbwt import PbwtColumns, build_pbwt, extract_runs
 from .prefixsearch import PrefixSearchIndex
 from .stepindex import StepIndex, build_step_index
-from .subruns import build_back_subruns, build_fore_subruns, normalize
+from .subruns import build_back_subruns, build_fore_subruns, normalize, run_shifts
 
 __version__ = "0.1.0"
 
@@ -24,5 +24,5 @@ __all__ = [
     "save_index", "Panel", "PanelError", "validate_panel", "PbwtColumns",
     "build_pbwt", "extract_runs", "PrefixSearchIndex", "StepIndex",
     "build_step_index", "build_back_subruns", "build_fore_subruns", "normalize",
-    "__version__",
+    "run_shifts", "__version__",
 ]

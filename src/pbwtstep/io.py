@@ -31,7 +31,7 @@ from .panel import Panel, PanelError
 from .pbwt import build_pbwt
 from .prefixsearch import PrefixSearchIndex, assemble_prefix_index, sort_panel
 from .stepindex import StepIndex, assemble_step_index, build_step_index, narrow, table_dtype
-from .subruns import build_back_subruns, build_fore_subruns
+from .subruns import build_back_subruns, build_fore_subruns, run_shifts
 
 MAGIC = b"PBWTSTEP"
 VERSION = 2
@@ -191,8 +191,10 @@ def build_index(p: Panel, sorted_rows: bool = False, fore_only: bool = False,
     """Build every query structure for a panel in one pass."""
     orig_ids = sort_panel(p) if sorted_rows else None
     pc = build_pbwt(p, orig_ids)
-    fore_lists = build_fore_subruns(pc)
-    back_lists = [] if fore_only else build_back_subruns(pc)
+    shifts = run_shifts(pc)                 # one flat pass over the runs, for both sides
+    fore_lists = build_fore_subruns(pc, shifts)
+    back_lists = [] if fore_only else build_back_subruns(pc, shifts)
+    del shifts
     step = build_step_index(pc, fore_lists, back_lists)
     prefix = assemble_prefix_index(pc, step, orig_ids)
     return IndexFile(step=step, prefix=prefix, panel_format=panel_format)

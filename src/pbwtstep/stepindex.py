@@ -258,15 +258,23 @@ def fore_shift(starts, lens, sym, col, first, lo: int):
     return order, image, delta
 
 
+def _overlaps(ref, s, message: str):
+    """Each interval's first ref sub-run and overlap count, from one search per start: the
+    intervals at global starts ``s`` tile ref's rows in order. Raises ValueError past three."""
+    first = np.searchsorted(ref, s, side="right") - 1
+    nq = np.append(first[1:] - (ref[first[1:]] == s[1:]), ref.size - 1)[:s.size] - first + 1
+    if (nq > 3).any():
+        raise ValueError(message)
+    return first, nq
+
+
 def assemble_step_index(h: int, w: int, sigma: int, ragged: bool,
                         col_lens, fore_starts, fore_vals, back_starts) -> StepIndex:
     """Derive the step tables from the stored arrays, which hold every
     column's sub-runs in turn (``back_starts`` is None for a fore-only index);
     raises ValueError when they do not describe a valid index. Every table is
     ``table_dtype``; the sorts' and searches' outputs stay intp, which numpy
-    gathers with directly, until they are stored. In sort order the images
-    tile columns 2..w, each ending a row before the next, so an overlap count
-    needs one search: for the sub-run holding the image's start."""
+    gathers with directly, until they are stored."""
     # the limits keep the global row positions below inside int64
     if not (h >= 1 and w >= 1 and 1 <= sigma < 2**62 and h * w < 2**62):
         raise ValueError(f"dimensions out of range: h={h} w={w} sigma={sigma}")
@@ -288,16 +296,12 @@ def assemble_step_index(h: int, w: int, sigma: int, ragged: bool,
     order, simage, delta = fore_shift(fs, fends - fs, fv, fcol, ffirst, lo)
     ssym = fv[order]                            # fcol is also the sorted parts' column
     offsets = np.flatnonzero(np.append(True, (fcol[1:] != fcol[:-1]) | (ssym[1:] != ssym[:-1])))
-    # the next column's sub-runs under each image, the last ending in column w's last
+    # in sort order the images tile columns 2..w, the last ending in column w's last
     ssteps = np.flatnonzero((ssym >= lo) & (fcol < w - 1))
     tb = base[fcol[ssteps] + 1] + simage[ssteps]
     del simage
-    first = np.searchsorted(fglob, tb, side="right") - 1
-    last = np.append(first[1:] - (fglob[first[1:]] == tb[1:]), fglob.size - 1)
-    nq = last[:first.size] - first + 1
-    del tb, last
-    if (nq > 3).any():
-        raise ValueError("a fore sub-run's image overlaps more than 3 sub-runs")
+    first, nq = _overlaps(fglob, tb, "a fore sub-run's image overlaps more than 3 sub-runs")
+    del tb
     steps = order[ssteps]
     del ssteps
     lam, fore_nq = np.zeros_like(fs), np.zeros(fs.size, np.int8)
@@ -334,12 +338,8 @@ def assemble_step_index(h: int, w: int, sigma: int, ragged: bool,
         # the pieces tile columns 2..w, as back sub-runs t on do, so they split like them
         _, _, piece_ends = split_columns(piece_starts, col_lens[1:], "piece")
         t = int(bfirst[1])
-        first = np.searchsorted(pglob, bglob[t:], side="right") - 1
-        last = np.append(first[1:] - (pglob[first[1:]] == bglob[t + 1:]), pglob.size - 1)
-        nq = last[:first.size] - first + 1
-        del fglob, bglob, bcol, pglob, last
-        if (nq > 3).any():
-            raise ValueError("a back sub-run overlaps more than 3 pieces")
+        first, nq = _overlaps(pglob, bglob[t:], "a back sub-run overlaps more than 3 pieces")
+        del fglob, bglob, bcol, pglob
         first_piece, back_nq = np.zeros_like(bs), np.zeros(bs.size, np.int8)
         first_piece[t:], back_nq[t:] = first, nq
         back = dict(back_starts=bs, back_first=bfirst.astype(dt), back_ends=bends,

@@ -8,10 +8,10 @@ against the next column's list, then pulling the cuts back). Both stay below
 twice the total run count, and every run start is a sub-run start, so no
 sub-run crosses a run boundary.
 
-Both builders start from one flat pass over all runs, ``stepindex.fore_shift``:
-within a run the forward map is a shift, so a live run's image starts at its
-start plus its shift. Ragged terminator runs have no image and are never cut.
-A reference list of at most three sub-runs cuts nothing, so that step is skipped.
+Both builders read one flat pass over all runs, ``run_shifts``, which a build
+runs once for both: within a run the forward map is a shift, so a live run's
+image starts at its start plus its shift. Ragged terminator runs have no image
+and are never cut; a reference list of at most three sub-runs cuts nothing.
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ def normalize(bounds: np.ndarray, ref: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def run_shifts(pc: PbwtColumns):
-    """Every run, flat over the columns, through one ``fore_shift`` pass:
-    each column's first run then the count, and per run its start, last
-    position, liveness and shift; then every column's live run images in
-    turn, ascending, and each column's first one among them."""
+    """Every run, flat over the columns, through one ``fore_shift`` pass that
+    both builders take: each column's first run then the count, and per run
+    its start, last position, liveness and shift; then every column's live run
+    images in turn, ascending, and each column's first one among them."""
     starts = np.concatenate(pc.runs)
     col, first, ends = split_columns(starts, np.array([c.size for c in pc.cols]), "run")
     sym = np.concatenate([c[r - 1] for c, r in zip(pc.cols, pc.runs)])
@@ -55,12 +55,12 @@ def run_shifts(pc: PbwtColumns):
     return first.tolist(), starts, ends - 1, live, delta, image[live[order]], at
 
 
-def build_back_subruns(pc: PbwtColumns) -> list[np.ndarray]:
-    """Backward-stepping sub-runs: column 1 keeps its runs; walking right,
-    each column's runs are cut against the forward image of the previous
-    list: that column's live run images while its list is its runs, else
-    each live sub-run's start plus its run's shift."""
-    first, starts, ends, live, delta, images, at = run_shifts(pc)
+def build_back_subruns(pc: PbwtColumns, shifts) -> list[np.ndarray]:
+    """Backward-stepping sub-runs from ``shifts = run_shifts(pc)``: column 1
+    keeps its runs; walking right, each column's runs are cut against the
+    forward image of the previous list: that column's live run images while
+    its list is its runs, else each live sub-run's start plus its run's shift."""
+    first, starts, ends, live, delta, images, at = shifts
     bounds = np.stack((starts, ends), 1).ravel()
     lists = list(pc.runs)
     for j in range(1, pc.w):
@@ -76,14 +76,13 @@ def build_back_subruns(pc: PbwtColumns) -> list[np.ndarray]:
     return lists
 
 
-def build_fore_subruns(pc: PbwtColumns) -> list[np.ndarray]:
-    """Forward-stepping sub-runs: the last column keeps its runs; walking
-    left, each column's run images are cut against the next list and the
-    cuts pulled back by the run's shift. A terminator run gets a one-row
-    stand-in image, which no list can cut."""
-    first, starts, ends, live, delta, _, _ = run_shifts(pc)
-    image = starts + delta
-    bounds = np.stack((image, image + (ends - starts) * live), 1).ravel()
+def build_fore_subruns(pc: PbwtColumns, shifts) -> list[np.ndarray]:
+    """Forward-stepping sub-runs from ``shifts = run_shifts(pc)``: the last
+    column keeps its runs; walking left, each column's run images are cut
+    against the next list and the cuts pulled back by the run's shift. A
+    terminator run gets a one-row stand-in image, which no list can cut."""
+    first, starts, ends, live, delta, _, _ = shifts
+    bounds = np.stack((starts + delta, np.where(live, ends, starts) + delta), 1).ravel()
     lists = list(pc.runs)
     for j in range(pc.w - 1, 0, -1):
         if lists[j].size > 3:

@@ -14,7 +14,7 @@ from pbwtstep.io import build_index, load_index, save_index
 from pbwtstep.panel import Panel
 from pbwtstep.pbwt import build_pbwt, column_orders
 from pbwtstep.stepindex import build_step_index
-from pbwtstep.subruns import build_back_subruns, build_fore_subruns
+from pbwtstep.subruns import build_back_subruns, build_fore_subruns, run_shifts
 
 from conftest import (build_pbwt_reference, enumerate_ids, in_subrun, normalized_pieces,
                       pattern_battery, pos_lookup_back, pos_lookup_fore, prefix_index, rand_panel,
@@ -33,7 +33,8 @@ def corpus():
     for _ in range(1000):
         p = rand_panel(rng, h_max=32, w_max=32, sigma_max=4)
         pc = build_pbwt(p)
-        fore, back = build_fore_subruns(pc), build_back_subruns(pc)
+        shifts = run_shifts(pc)
+        fore, back = build_fore_subruns(pc, shifts), build_back_subruns(pc, shifts)
         st = build_step_index(pc, fore, back)
         out.append((p, pc, (fore, back), st))
     return out

@@ -6,7 +6,7 @@ import numpy as np
 from pbwtstep.panel import Panel
 from pbwtstep.pbwt import build_pbwt
 from pbwtstep.stepindex import build_step_index
-from pbwtstep.subruns import build_fore_subruns
+from pbwtstep.subruns import build_fore_subruns, run_shifts
 
 from conftest import flat_fore_image, normalized_pieces, pos_lookup_back
 
@@ -60,7 +60,7 @@ def test_back_subrun_refinement():
 
 def test_back_quadruples_and_step():
     pc = build_pbwt(PANEL_A)
-    st = build_step_index(pc, build_fore_subruns(pc), [BACK_PREV, BACK_CUR])
+    st = build_step_index(pc, build_fore_subruns(pc, run_shifts(pc)), [BACK_PREV, BACK_CUR])
     g = st.back_first[1] + 2                   # sub-run 3 of column 2
     # sub-run [6,10] overlaps the images of column-1 sub-runs 1, 7 and 8
     assert int(st.back_nq[g]) == 3
@@ -76,7 +76,7 @@ def test_panel_b_fore_subruns():
     assert pc.runs[1].tolist() == REF_LAYOUT
     image, live = flat_fore_image(pc, 1, pc.runs[0])
     assert image.tolist() == [1, 2, 12] and live.tolist() == [6, 7, 1]
-    lists = build_fore_subruns(pc)
+    lists = build_fore_subruns(pc, run_shifts(pc))
     assert lists[1].tolist() == REF_LAYOUT
     assert lists[0].tolist() == FORE_CUR
 
@@ -95,7 +95,7 @@ def test_back_map_example():
 
 def test_fore_quintuples_and_step():
     pc = build_pbwt(PANEL_B)
-    st = build_step_index(pc, build_fore_subruns(pc), [])
+    st = build_step_index(pc, build_fore_subruns(pc, run_shifts(pc)), [])
     g = st.fore_first[0] + 3                   # sub-run 4 of column 1
     # sub-run [11,15] maps onto [6,10], which column-2 sub-runs 4, 5 and 6 cover
     assert int(st.fore_starts[g] + st.fore_delta[g]) == 6

@@ -53,6 +53,9 @@ def test_parse_malformed_line(tmp_path, capsys):
                       ("#sigma=2\n\n01\n0x\n", "malformed line 4: '0x'"),
                       ("# rows\n\n0 1\n\n1 x\n", "malformed line 5: '1 x'"),
                       ("# a\fb\n01\n0x\n", "malformed line 3: '0x'"),
+                      ("01\r\n1x\r\n", "malformed line 2: '1x'"),
+                      ("#sigma=2\r\r\n01\r0x\r", "malformed line 4: '0x'"),
+                      ("01\n\r10\r\n0x\n", "malformed line 4: '0x'"),
                       ("#sigma=two\n01\n", "malformed header on line 1: '#sigma=two'"),
                       ("01\n\n# h=2, sigma=\u0663\n10\n",
                        "malformed header on line 3: '# h=2, sigma=\ufffd\ufffd'")):
@@ -63,6 +66,9 @@ def test_parse_malformed_line(tmp_path, capsys):
         path.write_text(text, encoding="utf-8")
         assert main(["build", str(path), "-o", str(tmp_path / "ix.bin")]) == 3
         assert capsys.readouterr().err.strip().endswith(msg)
+
+
+MIXED_EOLS = ["\n", "\r\n", "\r", "\n\r"]
 
 
 def _oracle_parse(text):
@@ -116,8 +122,28 @@ def test_parse_matches_per_character_oracle(rng, tmp_path):
             assert p.sigma == want_sigma
 
 
-def test_parse_bad_byte_names_its_line(rng):
-    # the line of the file: the header, blank and "#" lines count
+def test_parse_mixed_line_ends_match_oracle(rng, tmp_path):
+    # one file mixes \n, \r\n, bare \r and \n\r, which ends two lines
+    path = tmp_path / "panel.txt"
+    for k in range(120):
+        ragged = k % 2 == 1
+        lines = _digit_panel_text(rng, ragged)
+        text = "".join(ln + MIXED_EOLS[int(rng.integers(0, 4))] for ln in lines)
+        rows, sigma = _oracle_parse(text)
+        if not rows:
+            continue
+        path.write_bytes(text.encode())
+        for p, _ in (parse_panel(text.encode(), ragged=ragged),
+                     load_panel(str(path), ragged=ragged)):
+            assert [r.tolist() for r in p.rows] == rows
+            assert p.sigma == (sigma if sigma is not None else max(max(r, default=0)
+                                                                   for r in rows) + 1)
+
+
+@pytest.mark.parametrize("eols", [["\n"], ["\r\n"], ["\r"], MIXED_EOLS])
+def test_parse_bad_byte_names_its_line(rng, eols):
+    # the line of the file: the header, blank and "#" lines count, as do the
+    # empty lines that \n\r leaves
     for _ in range(60):
         lines = ["#sigma=10"] + _digit_panel_text(rng, ragged=True)
         data = [k for k, ln in enumerate(lines) if ln.strip() and not ln.startswith("#")]
@@ -127,9 +153,12 @@ def test_parse_bad_byte_names_its_line(rng):
         pos = int(rng.integers(0, len(lines[k]) + 1))
         bad = "x-+./:a"[int(rng.integers(0, 7))]
         lines[k] = lines[k][:pos] + bad + lines[k][pos:]
+        ends = [eols[int(rng.integers(0, len(eols)))] for _ in lines]
+        line_no = len("".join(a + b for a, b in zip(lines[:k], ends)).splitlines()) + 1
         with pytest.raises(PanelError) as err:
-            parse_panel("\n".join(lines).encode(), fmt="digits", ragged=True)
-        assert str(err.value) == f"malformed line {k + 1}: {lines[k]!r}"
+            parse_panel("".join(a + b for a, b in zip(lines, ends)).encode(), fmt="digits",
+                        ragged=True)
+        assert str(err.value) == f"malformed line {line_no}: {lines[k]!r}"
 
 
 def test_parse_rejects_non_ascii_digits():

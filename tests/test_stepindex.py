@@ -9,7 +9,7 @@ from pbwtstep.panel import Panel
 from pbwtstep.pbwt import build_pbwt
 from pbwtstep.prefixsearch import PrefixSearchIndex
 from pbwtstep.stepindex import StepIndex, assemble_step_index, build_step_index
-from pbwtstep.subruns import build_back_subruns, build_fore_subruns
+from pbwtstep.subruns import build_back_subruns, build_fore_subruns, run_shifts
 
 from conftest import (in_subrun, pos_lookup_back, pos_lookup_fore, prefix_arrays, rand_panel,
                       reference_step_tables)
@@ -19,7 +19,8 @@ SMALL = Panel.from_strings(["01", "10", "00"])
 
 def build_all(p):
     pc = build_pbwt(p)
-    fore, back = build_fore_subruns(pc), build_back_subruns(pc)
+    shifts = run_shifts(pc)
+    fore, back = build_fore_subruns(pc, shifts), build_back_subruns(pc, shifts)
     return pc, (fore, back), build_step_index(pc, fore, back)
 
 

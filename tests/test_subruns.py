@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pbwtstep.subruns
 from pbwtstep.io import build_index
 from pbwtstep.panel import Panel
 from pbwtstep.pbwt import build_pbwt
@@ -30,7 +31,7 @@ def test_fore_map_elementwise(rng):
         for _ in range(40):
             p = rand_panel(rng, h_max=12, ragged=ragged)
             pc = build_pbwt(p)
-            fore_t, back = pos_lookup_fore(p), build_back_subruns(pc)
+            fore_t, back = pos_lookup_fore(p), build_back_subruns(pc, run_shifts(pc))
             for j in range(1, pc.w):
                 for starts in (pc.runs[j - 1], back[j - 1]):
                     image, live = flat_fore_image(pc, j, starts)
@@ -62,7 +63,7 @@ def test_fore_pullback_lands_on_pieces(rng):
         for _ in range(40):
             p = rand_panel(rng, ragged=ragged)
             pc = build_pbwt(p)
-            lists = build_fore_subruns(pc)
+            lists = build_fore_subruns(pc, run_shifts(pc))
             fore_t = pos_lookup_fore(p)
             for j in range(1, pc.w):
                 image, _ = flat_fore_image(pc, j, pc.runs[j - 1])
@@ -80,7 +81,7 @@ def test_back_map_inverts_fore_map(rng):
         for _ in range(40):
             p = rand_panel(rng, ragged=ragged)
             pc = build_pbwt(p)
-            lists = build_fore_subruns(pc)
+            lists = build_fore_subruns(pc, run_shifts(pc))
             back_t = pos_lookup_back(p)
             for j in range(1, pc.w):
                 image, live = flat_fore_image(pc, j, pc.runs[j - 1])
@@ -95,11 +96,11 @@ def test_back_map_inverts_fore_map(rng):
 
 def test_build_back_subruns_bases_and_bounds(rng):
     pc = build_pbwt(Panel.from_strings(["0101"] * 5))
-    assert [lst.tolist() for lst in build_back_subruns(pc)] == [[1]] * 4
+    assert [lst.tolist() for lst in build_back_subruns(pc, run_shifts(pc))] == [[1]] * 4
     for _ in range(60):
         p = rand_panel(rng)
         pc = build_pbwt(p)
-        lists = build_back_subruns(pc)
+        lists = build_back_subruns(pc, run_shifts(pc))
         assert lists[0].tolist() == pc.runs[0].tolist()
         assert sum(len(l) for l in lists) < 2 * pc.total_runs
         for j in range(2, pc.w + 1):
@@ -113,11 +114,11 @@ def test_build_back_subruns_bases_and_bounds(rng):
 
 def test_build_fore_subruns_bases_and_bounds(rng):
     pc = build_pbwt(Panel.from_strings(["0101"] * 5))
-    assert [lst.tolist() for lst in build_fore_subruns(pc)] == [[1]] * 4
+    assert [lst.tolist() for lst in build_fore_subruns(pc, run_shifts(pc))] == [[1]] * 4
     for _ in range(60):
         p = rand_panel(rng)
         pc = build_pbwt(p)
-        lists = build_fore_subruns(pc)
+        lists = build_fore_subruns(pc, run_shifts(pc))
         assert lists[pc.w - 1].tolist() == pc.runs[pc.w - 1].tolist()
         assert sum(len(l) for l in lists) < 2 * pc.total_runs
         for j in range(1, pc.w):
@@ -135,7 +136,8 @@ def test_subruns_partition_each_column(rng):
         for _ in range(30):
             p = rand_panel(rng, ragged=ragged)
             pc = build_pbwt(p)
-            back, fore = build_back_subruns(pc), build_fore_subruns(pc)
+            shifts = run_shifts(pc)
+            back, fore = build_back_subruns(pc, shifts), build_fore_subruns(pc, shifts)
             for j in range(1, pc.w + 1):
                 for lst in (back[j - 1], fore[j - 1]):
                     assert lst[0] == 1 and (np.diff(lst) > 0).all()
@@ -148,8 +150,8 @@ def test_ragged_bounds_hold(rng):
     for _ in range(40):
         p = rand_panel(rng, ragged=True)
         pc = build_pbwt(p)
-        assert sum(map(len, build_back_subruns(pc))) < 2 * pc.total_runs
-        assert sum(map(len, build_fore_subruns(pc))) < 2 * pc.total_runs
+        assert sum(map(len, build_back_subruns(pc, run_shifts(pc)))) < 2 * pc.total_runs
+        assert sum(map(len, build_fore_subruns(pc, run_shifts(pc)))) < 2 * pc.total_runs
 
 
 def test_flat_builders_equal_per_column_builders():
@@ -164,7 +166,7 @@ def test_flat_builders_equal_per_column_builders():
         pc = build_pbwt(p, sort_panel(p) if sorted_rows else None)
         for build, reference in ((build_fore_subruns, reference_fore_subruns),
                                  (build_back_subruns, reference_back_subruns)):
-            got, want = build(pc), reference(pc)
+            got, want = build(pc, run_shifts(pc)), reference(pc)
             assert len(got) == len(want) == pc.w
             assert all(np.array_equal(a, b) for a, b in zip(got, want)), (k, build.__name__)
             cuts += (sum(map(len, got)) - pc.total_runs) * large
@@ -180,11 +182,11 @@ def test_cut_only_past_three_sub_runs(n_runs, cut):
     # fore side: column 1 is one run, column 2 has n_runs runs
     pc = build_pbwt(Panel.from_rows([(0, r // 2 % 2) for r in range(2 * n_runs)]))
     assert pc.runs[1].size == n_runs
-    assert build_fore_subruns(pc)[0].tolist() == [1] + cut
+    assert build_fore_subruns(pc, run_shifts(pc))[0].tolist() == [1] + cut
     # back side: column 1 has n_runs runs, whose images column 2's one run spans
     pc = build_pbwt(Panel.from_rows([(r // 2, 0) for r in range(2 * n_runs)]))
     assert pc.runs[0].size == n_runs and pc.runs[1].size == 1
-    assert build_back_subruns(pc)[1].tolist() == [1] + cut
+    assert build_back_subruns(pc, run_shifts(pc))[1].tolist() == [1] + cut
 
 
 @pytest.mark.parametrize("rows", [[(r % 2, r // 2 % 2, r // 4) for r in range(12)],
@@ -195,8 +197,28 @@ def test_column_before_all_terminators(rows):
     p = Panel.from_rows(rows, ragged=True)
     pc = build_pbwt(p)
     assert (pc.cols[-1] == 0).all()
+    shifts = run_shifts(pc)
     for build, reference in ((build_fore_subruns, reference_fore_subruns),
                              (build_back_subruns, reference_back_subruns)):
-        assert [a.tolist() for a in build(pc)] == [b.tolist() for b in reference(pc)]
+        assert [a.tolist() for a in build(pc, shifts)] == [b.tolist() for b in reference(pc)]
     ix = build_index(p)
     assert [ix.retrieval.extract(i) for i in range(1, p.h + 1)] == [list(r) for r in rows]
+
+
+@pytest.mark.parametrize("sorted_rows, fore_only, ragged",
+                         [(False, False, False), (True, False, False), (False, True, True)])
+def test_build_runs_one_flat_pass(monkeypatch, sorted_rows, fore_only, ragged):
+    # a build sorts its runs once, whichever sub-run families it builds: the
+    # builders share the caller's run_shifts, whose fore_shift call is counted
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    real = pbwtstep.subruns.fore_shift
+    monkeypatch.setattr(pbwtstep.subruns, "fore_shift", counted)
+    p = rand_panel(np.random.default_rng(30), h_max=40, ragged=ragged)
+    ix = build_index(p, sorted_rows=sorted_rows, fore_only=fore_only)
+    assert len(calls) == 1
+    assert ix.fore_only == fore_only and ix.sorted_rows == sorted_rows
