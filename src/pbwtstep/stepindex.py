@@ -259,8 +259,8 @@ def fore_shift(starts, lens, sym, col, first, lo: int):
 
 
 def _overlaps(ref, s, message: str):
-    """Each interval's first ref sub-run and overlap count, from one search per start: the
-    intervals at global starts ``s`` tile ref's rows in order. Raises ValueError past three."""
+    """First ref sub-run and overlap count of the intervals at global starts ``s``, which tile
+    ref's rows in order, each ending a row before the next: one search per start. Refuses > 3."""
     first = np.searchsorted(ref, s, side="right") - 1
     nq = np.append(first[1:] - (ref[first[1:]] == s[1:]), ref.size - 1)[:s.size] - first + 1
     if (nq > 3).any():

@@ -82,13 +82,13 @@ def build_fore_subruns(pc: PbwtColumns, shifts) -> list[np.ndarray]:
     against the next list and the cuts pulled back by the run's shift. A
     terminator run gets a one-row stand-in image, which no list can cut."""
     first, starts, ends, live, delta, _, _ = shifts
-    bounds = np.stack((starts + delta, np.where(live, ends, starts) + delta), 1).ravel()
+    image = starts + delta
+    bounds = np.stack((image, image + (ends - starts) * live), 1).ravel()
     lists = list(pc.runs)
     for j in range(pc.w - 1, 0, -1):
         if lists[j].size > 3:
-            a, b = first[j - 1], first[j]
-            k, cuts = normalize(bounds[2 * a:2 * b], lists[j])
+            k, cuts = normalize(bounds[2 * first[j - 1]:2 * first[j]], lists[j])
             if cuts.size:
-                cuts -= np.repeat(delta[a:b], k)
+                cuts -= np.repeat(delta[first[j - 1]:first[j]], k)
                 lists[j - 1] = np.sort(np.concatenate((lists[j - 1], cuts)))
     return lists
