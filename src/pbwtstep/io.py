@@ -246,8 +246,7 @@ def _encode_payload(ix: IndexFile) -> bytes:
 def save_index(path: str, ix: IndexFile) -> int:
     """Write the index; returns the byte count."""
     payload = _encode_payload(ix)
-    flags = 0
-    flags |= FLAG_SORTED if ix.sorted_rows else 0
+    flags = FLAG_SORTED if ix.sorted_rows else 0
     flags |= FLAG_TERMINATOR if ix.step.ragged else 0
     flags |= FLAG_FORE_ONLY if ix.fore_only else 0
     flags |= FLAG_TOKENS if ix.panel_format == "tokens" else 0

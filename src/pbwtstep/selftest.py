@@ -52,9 +52,10 @@ def random_panel(rng: np.random.Generator, ragged: bool = False) -> Panel:
         if style == 2:
             mut = rng.random(size=rows.shape) < 0.1
             rows[mut] = rng.integers(0, sigma, size=int(mut.sum()))
+    row_list = [row for row in rows]
     if ragged:
-        rows = [row[:int(rng.integers(0, w + 1))] for row in rows]
-    return Panel.from_rows(rows, sigma=sigma, ragged=ragged)
+        row_list = [row[:int(rng.integers(0, w + 1))] for row in row_list]
+    return Panel.from_rows(row_list, sigma=sigma, ragged=ragged)
 
 
 def scan_prefix_oracle(p: Panel, pattern) -> tuple[int, int, int]:

@@ -298,10 +298,9 @@ def assemble_step_index(h: int, w: int, sigma: int, ragged: bool,
     offsets = np.flatnonzero(np.append(True, (fcol[1:] != fcol[:-1]) | (ssym[1:] != ssym[:-1])))
     # in sort order the images tile columns 2..w, the last ending in column w's last
     ssteps = np.flatnonzero((ssym >= lo) & (fcol < w - 1))
-    tb = base[fcol[ssteps] + 1] + simage[ssteps]
+    simage = base[fcol[ssteps] + 1] + simage[ssteps]     # now the steps' global images
+    first, nq = _overlaps(fglob, simage, "a fore sub-run's image overlaps more than 3 sub-runs")
     del simage
-    first, nq = _overlaps(fglob, tb, "a fore sub-run's image overlaps more than 3 sub-runs")
-    del tb
     steps = order[ssteps]
     del ssteps
     lam, fore_nq = np.zeros_like(fs), np.zeros(fs.size, np.int8)

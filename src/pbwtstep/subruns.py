@@ -87,8 +87,9 @@ def build_fore_subruns(pc: PbwtColumns, shifts) -> list[np.ndarray]:
     lists = list(pc.runs)
     for j in range(pc.w - 1, 0, -1):
         if lists[j].size > 3:
-            k, cuts = normalize(bounds[2 * first[j - 1]:2 * first[j]], lists[j])
+            a, b = first[j - 1], first[j]
+            k, cuts = normalize(bounds[2 * a:2 * b], lists[j])
             if cuts.size:
-                cuts -= np.repeat(delta[first[j - 1]:first[j]], k)
+                cuts -= np.repeat(delta[a:b], k)
                 lists[j - 1] = np.sort(np.concatenate((lists[j - 1], cuts)))
     return lists

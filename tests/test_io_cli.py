@@ -56,6 +56,10 @@ def test_parse_malformed_line(tmp_path, capsys):
                       ("01\r\n1x\r\n", "malformed line 2: '1x'"),
                       ("#sigma=2\r\r\n01\r0x\r", "malformed line 4: '0x'"),
                       ("01\n\r10\r\n0x\n", "malformed line 4: '0x'"),
+                      ("01\n1x", "malformed line 2: '1x'"),
+                      ("01\r\n1x", "malformed line 2: '1x'"),
+                      ("01\r1x", "malformed line 2: '1x'"),
+                      ("01\n\r1x", "malformed line 3: '1x'"),
                       ("#sigma=two\n01\n", "malformed header on line 1: '#sigma=two'"),
                       ("01\n\n# h=2, sigma=\u0663\n10\n",
                        "malformed header on line 3: '# h=2, sigma=\ufffd\ufffd'")):
@@ -142,7 +146,7 @@ def test_parse_mixed_line_ends_match_oracle(rng, tmp_path):
 
 def test_parse_bad_byte_names_its_line(rng):
     # the line of the file: the header, blank and "#" lines count, as do the
-    # empty lines that \n\r leaves
+    # empty lines that \n\r leaves; the last line may have no line end
     for eols in (["\n"], ["\r\n"], ["\r"], MIXED_EOLS):
         _check_bad_byte_line_numbers(rng, eols)
 
@@ -158,6 +162,8 @@ def _check_bad_byte_line_numbers(rng, eols):
         bad = "x-+./:a"[int(rng.integers(0, 7))]
         lines[k] = lines[k][:pos] + bad + lines[k][pos:]
         ends = [eols[int(rng.integers(0, len(eols)))] for _ in lines]
+        if rng.random() < 0.5:
+            ends[-1] = ""               # the last line ends the file, with no line end
         line_no = len("".join(a + b for a, b in zip(lines[:k], ends)).splitlines()) + 1
         with pytest.raises(PanelError) as err:
             parse_panel("".join(a + b for a, b in zip(lines, ends)).encode(), fmt="digits",
